@@ -36,7 +36,7 @@ use std::time::Instant;
 use criterion::{BenchmarkId, Criterion};
 use mcs_bench::synthetic_multi_task;
 use mcs_core::indexed::{ClearContext, ProfCounters};
-use mcs_core::mechanism::{contingent_reward, WinnerDetermination};
+use mcs_core::mechanism::{RewardQuote, RoundMechanism, WinnerDetermination};
 use mcs_core::multi_task::{reference, MultiTaskMechanism};
 use mcs_core::types::{TypeProfile, UserId};
 use std::hint::black_box;
@@ -51,8 +51,8 @@ const LARGE_SIZES: [usize; 2] = [10_000, 100_000];
 /// Allocation-only smoke size.
 const ALLOC_SMOKE: usize = 1_000_000;
 
-/// One cleared round's quotes: `(success, failure)` per winner.
-type Quotes = BTreeMap<UserId, (f64, f64)>;
+/// One cleared round's quotes.
+type Quotes = BTreeMap<UserId, RewardQuote>;
 
 /// The pre-PR path: reference scan greedy, then one cloning bisection per
 /// winner.
@@ -65,68 +65,43 @@ fn clear_reference(profile: &TypeProfile) -> Quotes {
                 .expect("winner has a critical bid")
                 .pos();
             let cost = profile.user(winner).expect("winner exists").cost();
-            (
-                winner,
-                (
-                    contingent_reward(ALPHA, critical, cost, true),
-                    contingent_reward(ALPHA, critical, cost, false),
-                ),
-            )
+            (winner, RewardQuote::contingent(ALPHA, critical, cost))
         })
         .collect()
+}
+
+/// The multi-task arm of the platform's [`RoundMechanism`].
+fn mechanism(threads: usize) -> RoundMechanism {
+    RoundMechanism::MultiTask(
+        MultiTaskMechanism::new(ALPHA)
+            .expect("valid alpha")
+            .with_payment_threads(threads),
+    )
 }
 
 /// The fast engine through its public entry points: every call builds a
 /// fresh index, seeds, and workspaces (cold context).
 fn clear_fast(profile: &TypeProfile, threads: usize) -> Quotes {
-    let mechanism = MultiTaskMechanism::new(ALPHA)
-        .expect("valid alpha")
-        .with_payment_threads(threads);
+    let mechanism = mechanism(threads);
     let allocation = mechanism
         .select_winners(profile)
         .expect("bench instance is feasible");
     mechanism
-        .critical_pos_all(profile, &allocation)
+        .quote_all(&mut ClearContext::new(), profile, &allocation)
         .expect("winners have critical bids")
-        .into_iter()
-        .map(|(winner, critical)| {
-            let cost = profile.user(winner).expect("winner exists").cost();
-            (
-                winner,
-                (
-                    contingent_reward(ALPHA, critical, cost, true),
-                    contingent_reward(ALPHA, critical, cost, false),
-                ),
-            )
-        })
-        .collect()
 }
 
 /// The fast engine on a persistent arena: the shard-worker /
 /// campaign-loop shape, where consecutive rounds delta-patch the index
 /// instead of rebuilding it. Bitwise identical to [`clear_fast`].
 fn clear_fast_warm(profile: &TypeProfile, threads: usize, context: &mut ClearContext) -> Quotes {
-    let mechanism = MultiTaskMechanism::new(ALPHA)
-        .expect("valid alpha")
-        .with_payment_threads(threads);
+    let mechanism = mechanism(threads);
     let allocation = mechanism
-        .allocate_with(context, profile)
+        .allocate(context, profile)
         .expect("bench instance is feasible");
     mechanism
-        .critical_pos_all_with(context, profile, &allocation)
+        .quote_all(context, profile, &allocation)
         .expect("winners have critical bids")
-        .into_iter()
-        .map(|(winner, critical)| {
-            let cost = profile.user(winner).expect("winner exists").cost();
-            (
-                winner,
-                (
-                    contingent_reward(ALPHA, critical, cost, true),
-                    contingent_reward(ALPHA, critical, cost, false),
-                ),
-            )
-        })
-        .collect()
 }
 
 /// Allocation only — the piece that has to survive 10^6 bidders.
@@ -258,16 +233,16 @@ fn smoke() {
             reference_quotes.len(),
             "winner sets diverge at {threads} threads"
         );
-        for (winner, &(success, failure)) in &reference_quotes {
-            let &(fast_success, fast_failure) = fast.get(winner).expect("same winners");
+        for (winner, quote) in &reference_quotes {
+            let fast_quote = fast.get(winner).expect("same winners");
             assert_eq!(
-                fast_success.to_bits(),
-                success.to_bits(),
+                fast_quote.success.to_bits(),
+                quote.success.to_bits(),
                 "success quote diverges for {winner} at {threads} threads"
             );
             assert_eq!(
-                fast_failure.to_bits(),
-                failure.to_bits(),
+                fast_quote.failure.to_bits(),
+                quote.failure.to_bits(),
                 "failure quote diverges for {winner} at {threads} threads"
             );
         }

@@ -7,7 +7,7 @@
 //! helpers are pure functions over core types so both callers agree on
 //! definitions.
 
-use crate::mechanism::Allocation;
+use crate::mechanism::{Allocation, RewardQuote};
 use crate::types::{Contribution, TypeProfile};
 
 /// Total coverage slack `Σ_j (q_j − Q_j)` in the contribution (log)
@@ -57,7 +57,7 @@ pub fn winner_redundancy(profile: &TypeProfile, allocation: &Allocation) -> f64 
 /// `p_any · success + (1 − p_any) · failure`, where `p_any` is her
 /// probability of completing at least one assigned task.
 pub fn expected_payment_from_quotes(p_any: f64, success: f64, failure: f64) -> f64 {
-    p_any * success + (1.0 - p_any) * failure
+    RewardQuote { success, failure }.expected(p_any)
 }
 
 /// The round's overpayment ratio: total expected payment over the social

@@ -64,13 +64,12 @@ pub fn payment_report<M: Mechanism>(
     let mut best_case = 0.0;
     let mut social_cost = 0.0;
     for winner in allocation.winners() {
-        let success = mechanism.reward(profile, allocation, winner, true)?;
-        let failure = mechanism.reward(profile, allocation, winner, false)?;
+        let quote = mechanism.quote(profile, allocation, winner)?;
         let user = profile.user(winner)?;
         let p_any = user.any_task_pos().value();
-        expected.push((winner, p_any * success + (1.0 - p_any) * failure));
-        worst_case += success;
-        best_case += failure;
+        expected.push((winner, quote.expected(p_any)));
+        worst_case += quote.success;
+        best_case += quote.failure;
         social_cost += user.cost().value();
     }
     Ok(PaymentReport {

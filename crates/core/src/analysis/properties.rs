@@ -7,7 +7,7 @@
 //! bugs and quantify how baselines fail.
 
 use crate::error::Result;
-use crate::mechanism::{validate_alpha, Mechanism, WinnerDetermination};
+use crate::mechanism::{validate_alpha, Mechanism, RewardQuote, WinnerDetermination};
 use crate::types::{Pos, TypeProfile, UserId};
 
 /// The expected utility of `user` (with true type from `truth`) when the
@@ -34,11 +34,10 @@ pub fn expected_utility<M: Mechanism>(
     if !allocation.contains(user) {
         return Ok(0.0);
     }
-    let success = mechanism.reward(declared, &allocation, user, true)?;
-    let failure = mechanism.reward(declared, &allocation, user, false)?;
+    let quote = mechanism.quote(declared, &allocation, user)?;
     let true_type = truth.user(user)?;
     let p_any = true_type.any_task_pos().value();
-    Ok(p_any * success + (1.0 - p_any) * failure - true_type.cost().value())
+    Ok(quote.expected(p_any) - true_type.cost().value())
 }
 
 /// The expected utility implied by an already-quoted reward pair: the
@@ -50,7 +49,7 @@ pub fn expected_utility<M: Mechanism>(
 /// quotes) without re-running the mechanism, so an oracle can check
 /// ex-post IR round by round.
 pub fn expected_utility_from_quotes(p_any: f64, success: f64, failure: f64, cost: f64) -> f64 {
-    p_any * success + (1.0 - p_any) * failure - cost
+    RewardQuote { success, failure }.expected(p_any) - cost
 }
 
 /// Inverts the execution-contingent reward formula: given the quoted
@@ -187,7 +186,7 @@ pub fn check_critical_bid_padding<M: Mechanism>(
             violations.push(CriticalPadViolation::Demoted { user, pad });
             continue;
         }
-        let padded = mechanism.reward(&declared, &allocation, user, true)?;
+        let padded = mechanism.quote(&declared, &allocation, user)?.success;
         if (padded - reference_success).abs() > tolerance {
             violations.push(CriticalPadViolation::PaymentChanged {
                 user,
@@ -403,15 +402,12 @@ mod tests {
         let truth = single_profile();
         let allocation = mechanism.select_winners(&truth).unwrap();
         for winner in allocation.winners() {
-            let success = mechanism.reward(&truth, &allocation, winner, true).unwrap();
-            let failure = mechanism
-                .reward(&truth, &allocation, winner, false)
-                .unwrap();
+            let quote = mechanism.quote(&truth, &allocation, winner).unwrap();
             let t = truth.user(winner).unwrap();
             let from_quotes = expected_utility_from_quotes(
                 t.any_task_pos().value(),
-                success,
-                failure,
+                quote.success,
+                quote.failure,
                 t.cost().value(),
             );
             let direct = expected_utility(&mechanism, &truth, &truth, winner).unwrap();
@@ -464,7 +460,10 @@ mod tests {
         let allocation = mechanism.select_winners(&truth).unwrap();
         for winner in allocation.winners() {
             let critical = mechanism.critical_pos(&truth, &allocation, winner).unwrap();
-            let reference = mechanism.reward(&truth, &allocation, winner, true).unwrap();
+            let reference = mechanism
+                .quote(&truth, &allocation, winner)
+                .unwrap()
+                .success;
             let violations = check_critical_bid_padding(
                 &mechanism,
                 &truth,
@@ -488,7 +487,10 @@ mod tests {
         let truth = single_profile();
         let allocation = mechanism.select_winners(&truth).unwrap();
         let winner = allocation.winners().next().unwrap();
-        let reference = mechanism.reward(&truth, &allocation, winner, true).unwrap();
+        let reference = mechanism
+            .quote(&truth, &allocation, winner)
+            .unwrap()
+            .success;
         let violations = check_critical_bid_padding(
             &mechanism,
             &truth,

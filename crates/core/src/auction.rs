@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use rand::Rng;
 
 use crate::error::Result;
-use crate::mechanism::{Allocation, Mechanism};
+use crate::mechanism::{Allocation, Mechanism, RewardQuote};
 use crate::types::{Cost, TaskId, TypeProfile, UserId};
 
 /// What a single winner actually accomplished in one auction round.
@@ -188,14 +188,9 @@ impl<M: Mechanism> ReverseAuction<M> {
         let mut winners = Vec::with_capacity(allocation.winner_count());
         for winner in allocation.winners() {
             let true_type = truth.user(winner).or_else(|_| declared.user(winner))?;
-            let success = self.mechanism.reward(declared, &allocation, winner, true)?;
-            let failure = self
-                .mechanism
-                .reward(declared, &allocation, winner, false)?;
             winners.push(PreparedWinner {
                 user: winner,
-                success,
-                failure,
+                quote: self.mechanism.quote(declared, &allocation, winner)?,
                 tasks: true_type.tasks().collect(),
                 p_any: true_type.any_task_pos().value(),
                 cost: true_type.cost(),
@@ -213,8 +208,7 @@ impl<M: Mechanism> ReverseAuction<M> {
 #[derive(Debug, Clone)]
 struct PreparedWinner {
     user: UserId,
-    success: f64,
-    failure: f64,
+    quote: RewardQuote,
     tasks: Vec<(TaskId, crate::types::Pos)>,
     p_any: f64,
     cost: Cost,
@@ -277,15 +271,10 @@ impl PreparedAuction<'_> {
                     result.completed.insert(task);
                 }
             }
-            let reward = if result.completed_any() {
-                winner.success
-            } else {
-                winner.failure
-            };
+            let reward = winner.quote.payout(result.completed_any());
             expected_utilities.insert(
                 winner.user,
-                winner.p_any * winner.success + (1.0 - winner.p_any) * winner.failure
-                    - winner.cost.value(),
+                winner.quote.expected(winner.p_any) - winner.cost.value(),
             );
             utilities.insert(winner.user, reward - winner.cost.value());
             rewards.insert(winner.user, reward);

@@ -202,10 +202,9 @@ pub fn expected_utility_with_cost_misreport<M: Mechanism>(
     if !allocation.contains(user) {
         return Ok(0.0);
     }
-    let success = mechanism.reward(&declared, &allocation, user, true)?;
-    let failure = mechanism.reward(&declared, &allocation, user, false)?;
+    let quote = mechanism.quote(&declared, &allocation, user)?;
     let p_any = true_type.any_task_pos().value();
-    let gross = p_any * success + (1.0 - p_any) * failure - true_cost.value();
+    let gross = quote.expected(p_any) - true_cost.value();
     let fine = audit.expected_fine(declared_cost.value() - true_cost.value());
     Ok(gross - fine)
 }

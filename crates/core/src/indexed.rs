@@ -31,8 +31,7 @@
 //!   selection order, capped log, flattened residual snapshots, and the
 //!   winner [`BitSet`] into the [`Workspace`] and returns a borrowed
 //!   [`RunView`] — a bisection's 60 probes reuse the same capacity and
-//!   allocate nothing. The owning [`EngineRun`] remains as a compat
-//!   wrapper for once-per-round callers.
+//!   allocate nothing.
 //! * **Precomputed heap seeds.** Every probe used to rebuild the heap
 //!   with a full `O(Σ entries)` capped rescan plus `n` sift-up pushes.
 //!   [`HeapSeeds`] stores the initial entries once per round; a probe
@@ -70,6 +69,8 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use crate::error::{McsError, Result};
+use crate::mechanism::Allocation;
 use crate::types::{TaskId, TypeProfile, UserId, UserType, CONTRIBUTION_TOLERANCE};
 
 /// A fixed-capacity bit mask over dense positions, packed into `u64`
@@ -457,6 +458,21 @@ impl IndexedProfile {
         self.user_ids[position]
     }
 
+    /// The winners a complete `run` selected, or
+    /// [`McsError::Infeasible`] for the first task it left uncovered.
+    ///
+    /// # Errors
+    ///
+    /// [`McsError::Infeasible`] if `run` is incomplete.
+    pub fn allocation(&self, run: &RunView<'_>) -> Result<Allocation> {
+        match run.uncovered {
+            Some(task) => Err(McsError::Infeasible {
+                task: self.task_id(task),
+            }),
+            None => Ok(run.selection.iter().map(|&p| self.user_id(p)).collect()),
+        }
+    }
+
     /// The id of the task at `position` (publication order).
     pub fn task_id(&self, position: usize) -> TaskId {
         self.task_ids[position]
@@ -777,18 +793,6 @@ impl IndexedProfile {
         }
         true
     }
-
-    /// Runs the lazy greedy and returns an owning [`EngineRun`] — the
-    /// compatibility path for once-per-round callers that keep the result.
-    /// Hot paths (bisection probes) use [`IndexedProfile::run_in`].
-    pub fn run(
-        &self,
-        workspace: &mut Workspace,
-        options: RunOptions<'_>,
-        record: Record,
-    ) -> EngineRun {
-        self.run_in(workspace, options, record).to_engine_run()
-    }
 }
 
 /// Flattens one user's `(task position, contribution)` row into `scratch`
@@ -877,7 +881,7 @@ pub enum Record {
 
 /// A borrowed view of a greedy run's outcome, entirely backed by the
 /// [`Workspace`] it ran in — nothing here was allocated for this run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunView<'w> {
     /// Selected user positions, in selection order.
     pub selection: &'w [usize],
@@ -924,26 +928,6 @@ impl RunView<'_> {
         base.stride = self.stride;
         base.complete = self.is_complete();
     }
-
-    /// Copies the view into an owning [`EngineRun`].
-    pub fn to_engine_run(&self) -> EngineRun {
-        let snapshots = if self.stride == 0 {
-            // Zero published tasks: no iterations ever record a snapshot.
-            Vec::new()
-        } else {
-            self.snapshots
-                .chunks(self.stride)
-                .map(<[f64]>::to_vec)
-                .collect()
-        };
-        EngineRun {
-            selection: self.selection.to_vec(),
-            capped: self.capped.to_vec(),
-            snapshots,
-            uncovered: self.uncovered,
-            winner_mask: self.winner_mask.clone(),
-        }
-    }
 }
 
 /// A completed greedy run copied out of its workspace — the θ₋ᵢ base run
@@ -968,37 +952,6 @@ impl BaseRun {
     /// Whether a complete run is stored — the loss scan's precondition.
     pub fn is_complete(&self) -> bool {
         self.complete
-    }
-}
-
-/// The raw outcome of a lazy-greedy run, in dense positions — the owning
-/// counterpart of [`RunView`] for callers that keep the result beyond the
-/// next workspace reuse.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineRun {
-    /// Selected user positions, in selection order.
-    pub selection: Vec<usize>,
-    /// Capped contribution per iteration ([`Record::Iterations`] and up).
-    pub capped: Vec<f64>,
-    /// Residuals at iteration start, per iteration ([`Record::Full`]).
-    pub snapshots: Vec<Vec<f64>>,
-    /// First task position (publication order) left uncovered when the
-    /// candidates ran out, if the instance was infeasible for them.
-    pub uncovered: Option<usize>,
-    /// Bit per user position: set iff selected.
-    pub winner_mask: BitSet,
-}
-
-impl EngineRun {
-    /// Whether every requirement was covered.
-    pub fn is_complete(&self) -> bool {
-        self.uncovered.is_none()
-    }
-
-    /// Whether the user at `position` was selected — a winner-mask bit
-    /// test, not a selection scan.
-    pub fn selected(&self, position: usize) -> bool {
-        self.winner_mask.contains(position)
     }
 }
 
@@ -1521,20 +1474,20 @@ mod tests {
     fn excluded_user_never_wins() {
         let p = profile(&[(1.0, &[(0, 0.6)]), (5.0, &[(0, 0.6)])], &[(0, 0.5)]);
         let indexed = IndexedProfile::from_profile(&p);
-        let mut ws = Workspace::new();
-        let run = indexed.run(&mut ws, RunOptions::default(), Record::Selection);
-        assert_eq!(run.selection, vec![0]);
+        let (mut ws, mut ws_without) = (Workspace::new(), Workspace::new());
+        let run = indexed.run_in(&mut ws, RunOptions::default(), Record::Selection);
+        assert_eq!(run.selection, [0]);
         assert!(run.selected(0));
         assert!(!run.selected(1));
-        let without = indexed.run(
-            &mut ws,
+        let without = indexed.run_in(
+            &mut ws_without,
             RunOptions {
                 excluded: Some(0),
                 ..RunOptions::default()
             },
             Record::Selection,
         );
-        assert_eq!(without.selection, vec![1]);
+        assert_eq!(without.selection, [1]);
         assert!(without.is_complete());
     }
 
@@ -1542,10 +1495,13 @@ mod tests {
     fn infeasible_run_reports_first_uncovered_task_position() {
         let p = profile(&[(1.0, &[(0, 0.9)])], &[(0, 0.5), (1, 0.5)]);
         let indexed = IndexedProfile::from_profile(&p);
-        let run = indexed.run(&mut Workspace::new(), RunOptions::default(), Record::Full);
+        let mut ws = Workspace::new();
+        let run = indexed.run_in(&mut ws, RunOptions::default(), Record::Full);
         assert_eq!(run.uncovered, Some(1));
-        assert_eq!(run.selection, vec![0]);
-        assert_eq!(run.snapshots.len(), 1);
+        assert_eq!(run.selection, [0]);
+        // One snapshot row of `stride` (= two tasks) residuals.
+        assert_eq!(run.stride, 2);
+        assert_eq!(run.snapshots.len(), run.stride);
     }
 
     #[test]
@@ -1562,12 +1518,12 @@ mod tests {
         );
         let indexed = IndexedProfile::from_profile(&p);
         let seeds = indexed.heap_seeds();
-        let mut ws = Workspace::new();
-        let compare = |options: RunOptions<'_>, seeded: RunOptions<'_>, ws: &mut Workspace| {
-            let plain = indexed.run(ws, options, Record::Full);
-            let fast = indexed.run(ws, seeded, Record::Full);
+        let (mut ws, mut ws_seeded) = (Workspace::new(), Workspace::new());
+        let mut compare = |options: RunOptions<'_>, seeded: RunOptions<'_>| {
+            let plain = indexed.run_in(&mut ws, options, Record::Full);
+            let fast = indexed.run_in(&mut ws_seeded, seeded, Record::Full);
             assert_eq!(plain, fast);
-            for (a, b) in plain.capped.iter().zip(&fast.capped) {
+            for (a, b) in plain.capped.iter().zip(fast.capped) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         };
@@ -1577,7 +1533,6 @@ mod tests {
                 seeds: Some(&seeds),
                 ..RunOptions::default()
             },
-            &mut ws,
         );
         for excluded in 0..indexed.user_count() {
             compare(
@@ -1590,7 +1545,6 @@ mod tests {
                     seeds: Some(&seeds),
                     ..RunOptions::default()
                 },
-                &mut ws,
             );
         }
         for position in 0..indexed.user_count() {
@@ -1610,7 +1564,6 @@ mod tests {
                         seeds: Some(&seeds),
                         ..RunOptions::default()
                     },
-                    &mut ws,
                 );
             }
         }
@@ -1631,7 +1584,6 @@ mod tests {
                 substitute: Some((2, &scaled)),
                 seeds: Some(&seeds),
             },
-            &mut ws,
         );
     }
 

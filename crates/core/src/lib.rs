@@ -41,7 +41,11 @@
 //!   critical-bid bisection, parallel payments).
 //! * [`mechanism`] — the [`WinnerDetermination`](mechanism::WinnerDetermination),
 //!   [`RewardScheme`](mechanism::RewardScheme) and
-//!   [`Mechanism`](mechanism::Mechanism) traits tying the pieces together.
+//!   [`Mechanism`](mechanism::Mechanism) traits tying the pieces together,
+//!   the [`RewardQuote`](mechanism::RewardQuote) pair every scheme prices
+//!   from one critical bid, and
+//!   [`RoundMechanism`](mechanism::RoundMechanism), the shape-dispatched
+//!   mechanism a platform round clears with.
 //! * [`auction`] — an end-to-end reverse-auction runner with simulated
 //!   (Bernoulli) task execution.
 //! * [`submodular`] — the coverage function `f(I)` of the paper's
@@ -73,9 +77,8 @@
 //! // paid more than one who fails, and truthful reporting maximizes
 //! // expected utility.
 //! let winner = allocation.winners().next().unwrap();
-//! let success = mechanism.reward(&profile, &allocation, winner, true)?;
-//! let failure = mechanism.reward(&profile, &allocation, winner, false)?;
-//! assert!(success > failure);
+//! let quote = mechanism.quote(&profile, &allocation, winner)?;
+//! assert!(quote.success > quote.failure);
 //! # Ok::<(), mcs_core::McsError>(())
 //! ```
 

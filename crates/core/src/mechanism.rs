@@ -1,5 +1,6 @@
-//! Mechanism abstractions: winner determination, reward schemes, and the
-//! combined [`Mechanism`] trait.
+//! Mechanism abstractions: winner determination, reward schemes, the
+//! combined [`Mechanism`] trait, and [`RoundMechanism`], the one
+//! shape-dispatched mechanism a round clears with.
 //!
 //! A mechanism `M = (A, R)` consists of an allocation algorithm `A` (here
 //! [`WinnerDetermination`]) and a reward scheme `R` ([`RewardScheme`]).
@@ -7,12 +8,15 @@
 //! paid a different amount depending on whether she actually completed her
 //! task(s), which is what makes truthful PoS reporting optimal.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{McsError, Result};
+use crate::indexed::ClearContext;
+use crate::multi_task::MultiTaskMechanism;
+use crate::single_task::SingleTaskMechanism;
 use crate::types::{Cost, Pos, TypeProfile, UserId};
 
 /// The outcome of winner determination: the set of selected (winning) users.
@@ -132,6 +136,58 @@ impl<T: WinnerDetermination + ?Sized> WinnerDetermination for &T {
     }
 }
 
+/// A winner's two execution-contingent rewards, quoted before any outcome
+/// is known.
+///
+/// # Examples
+///
+/// ```
+/// use mcs_core::mechanism::RewardQuote;
+/// use mcs_core::types::{Cost, Pos};
+///
+/// let quote = RewardQuote::contingent(10.0, Pos::new(0.25)?, Cost::new(2.0)?);
+/// assert_eq!(quote.success, 9.5);
+/// assert_eq!(quote.failure, -0.5);
+/// assert_eq!(quote.payout(true) - quote.payout(false), 10.0);
+/// # Ok::<(), mcs_core::McsError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RewardQuote {
+    /// Paid when the winner completes at least one of her tasks.
+    pub success: f64,
+    /// Paid (possibly negative) when she completes none.
+    pub failure: f64,
+}
+
+impl RewardQuote {
+    /// The execution-contingent reward formula shared by every scheme:
+    /// `(1 - p̄_i)·α + c_i` on completion, `-p̄_i·α + c_i` otherwise, for
+    /// critical PoS `p̄_i` and cost `c_i`.
+    pub fn contingent(alpha: f64, critical: Pos, cost: Cost) -> Self {
+        let critical = critical.value();
+        let cost = cost.value();
+        RewardQuote {
+            success: (1.0 - critical) * alpha + cost,
+            failure: -critical * alpha + cost,
+        }
+    }
+
+    /// The payout for an observed outcome.
+    pub fn payout(&self, completed: bool) -> f64 {
+        if completed {
+            self.success
+        } else {
+            self.failure
+        }
+    }
+
+    /// The expected payout `p·success + (1 − p)·failure` to a winner who
+    /// completes with probability `p_any`.
+    pub fn expected(&self, p_any: f64) -> f64 {
+        p_any * self.success + (1.0 - p_any) * self.failure
+    }
+}
+
 /// An execution-contingent reward scheme.
 ///
 /// The schemes in this crate follow the paper's template: find the winner's
@@ -161,40 +217,21 @@ pub trait RewardScheme {
         user: UserId,
     ) -> Result<Pos>;
 
-    /// The reward paid to `user` given whether she `completed` her task(s).
-    ///
-    /// The default implementation applies the execution-contingent formula
-    /// to [`RewardScheme::critical_pos`].
+    /// Both of `user`'s contingent rewards, priced from one
+    /// [`RewardScheme::critical_pos`] search.
     ///
     /// # Errors
     ///
     /// Same as [`RewardScheme::critical_pos`].
-    fn reward(
+    fn quote(
         &self,
         profile: &TypeProfile,
         allocation: &Allocation,
         user: UserId,
-        completed: bool,
-    ) -> Result<f64> {
+    ) -> Result<RewardQuote> {
         let critical = self.critical_pos(profile, allocation, user)?;
         let cost = profile.user(user)?.cost();
-        Ok(contingent_reward(self.alpha(), critical, cost, completed))
-    }
-}
-
-/// The execution-contingent reward formula shared by every scheme:
-/// `(1 - p̄_i)·α + c_i` on completion, `-p̄_i·α + c_i` otherwise.
-///
-/// Factored out so batch payment paths (e.g. the platform's shard workers,
-/// which compute all of a round's critical bids at once) produce quotes
-/// bitwise identical to the per-user [`RewardScheme::reward`] default.
-pub fn contingent_reward(alpha: f64, critical: Pos, cost: Cost, completed: bool) -> f64 {
-    let critical = critical.value();
-    let cost = cost.value();
-    if completed {
-        (1.0 - critical) * alpha + cost
-    } else {
-        -critical * alpha + cost
+        Ok(RewardQuote::contingent(self.alpha(), critical, cost))
     }
 }
 
@@ -219,6 +256,129 @@ impl<T: RewardScheme + ?Sized> RewardScheme for &T {
 pub trait Mechanism: WinnerDetermination + RewardScheme {}
 
 impl<T: WinnerDetermination + RewardScheme> Mechanism for T {}
+
+/// The mechanism a round clears with, chosen by the round's shape: the
+/// FPTAS mechanism when the profile publishes one task, the greedy
+/// mechanism otherwise. The one dispatch on
+/// [`TypeProfile::is_single_task`], shared by serving paths and replay
+/// oracles so they cannot disagree on which mechanism a round ran.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RoundMechanism {
+    /// Algorithms 2 + 3: FPTAS winner determination, per-winner
+    /// critical-bid bisection.
+    SingleTask(SingleTaskMechanism),
+    /// Algorithms 4 + 5: greedy winner determination, batch critical bids
+    /// over `payment_threads` threads.
+    MultiTask(MultiTaskMechanism),
+}
+
+impl RoundMechanism {
+    /// The mechanism for `profile`'s shape, with FPTAS parameter
+    /// `epsilon` (single-task only), reward scaling factor `alpha`, and
+    /// `payment_threads` batch-payment threads (multi-task only).
+    ///
+    /// # Errors
+    ///
+    /// [`McsError::InvalidEpsilon`] or [`McsError::InvalidAlpha`] for an
+    /// out-of-range parameter the chosen mechanism uses.
+    pub fn new(
+        profile: &TypeProfile,
+        epsilon: f64,
+        alpha: f64,
+        payment_threads: usize,
+    ) -> Result<Self> {
+        Ok(if profile.is_single_task() {
+            RoundMechanism::SingleTask(SingleTaskMechanism::new(epsilon, alpha)?)
+        } else {
+            RoundMechanism::MultiTask(
+                MultiTaskMechanism::new(alpha)?.with_payment_threads(payment_threads),
+            )
+        })
+    }
+
+    /// Winner determination, through `context`'s persistent index on the
+    /// multi-task arm; bitwise identical to
+    /// [`WinnerDetermination::select_winners`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`WinnerDetermination::select_winners`].
+    pub fn allocate(
+        &self,
+        context: &mut ClearContext,
+        profile: &TypeProfile,
+    ) -> Result<Allocation> {
+        match self {
+            RoundMechanism::SingleTask(mechanism) => mechanism.select_winners(profile),
+            RoundMechanism::MultiTask(mechanism) => mechanism.allocate_with(context, profile),
+        }
+    }
+
+    /// Every winner's [`RewardQuote`], one critical-PoS search each: per
+    /// winner on the single-task arm, one shared batch through `context`
+    /// on the multi-task arm. Bitwise identical to calling
+    /// [`RewardScheme::quote`] per winner, for every `payment_threads`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`RewardScheme::critical_pos`]; the smallest failing
+    /// winner id's error.
+    pub fn quote_all(
+        &self,
+        context: &mut ClearContext,
+        profile: &TypeProfile,
+        allocation: &Allocation,
+    ) -> Result<BTreeMap<UserId, RewardQuote>> {
+        let criticals = match self {
+            RoundMechanism::SingleTask(mechanism) => allocation
+                .winners()
+                .map(|winner| Ok((winner, mechanism.critical_pos(profile, allocation, winner)?)))
+                .collect::<Result<BTreeMap<_, _>>>()?,
+            RoundMechanism::MultiTask(mechanism) => {
+                mechanism.critical_pos_all_with(context, profile, allocation)?
+            }
+        };
+        criticals
+            .into_iter()
+            .map(|(winner, critical)| {
+                let cost = profile.user(winner)?.cost();
+                Ok((
+                    winner,
+                    RewardQuote::contingent(self.alpha(), critical, cost),
+                ))
+            })
+            .collect()
+    }
+
+    /// The chosen arm, which the trait impls delegate to.
+    fn inner(&self) -> &dyn Mechanism {
+        match self {
+            RoundMechanism::SingleTask(mechanism) => mechanism,
+            RoundMechanism::MultiTask(mechanism) => mechanism,
+        }
+    }
+}
+
+impl WinnerDetermination for RoundMechanism {
+    fn select_winners(&self, profile: &TypeProfile) -> Result<Allocation> {
+        self.inner().select_winners(profile)
+    }
+}
+
+impl RewardScheme for RoundMechanism {
+    fn alpha(&self) -> f64 {
+        self.inner().alpha()
+    }
+
+    fn critical_pos(
+        &self,
+        profile: &TypeProfile,
+        allocation: &Allocation,
+        user: UserId,
+    ) -> Result<Pos> {
+        self.inner().critical_pos(profile, allocation, user)
+    }
+}
 
 /// Validates a reward scaling factor.
 ///

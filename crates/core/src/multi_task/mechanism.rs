@@ -71,7 +71,7 @@ impl MultiTaskMechanism {
         })
     }
 
-    /// Sets how many OS threads [`MultiTaskMechanism::critical_pos_all`]
+    /// Sets how many OS threads [`MultiTaskMechanism::critical_pos_all_with`]
     /// fans winners out over (clamped to at least 1).
     ///
     /// The result is bitwise identical for every thread count; this knob
@@ -85,35 +85,6 @@ impl MultiTaskMechanism {
     /// The configured payment fan-out width.
     pub fn payment_threads(&self) -> usize {
         self.payment_threads
-    }
-
-    /// The underlying winner-determination algorithm.
-    pub fn winner_determination(&self) -> &GreedyWinnerDetermination {
-        &self.winner_determination
-    }
-
-    /// Computes the critical PoS of *every* winner in `allocation` at once,
-    /// in parallel over [`MultiTaskMechanism::payment_threads`] threads.
-    ///
-    /// This is the batch counterpart of [`RewardScheme::critical_pos`]:
-    /// the dense profile view and the feasibility/winner checks are shared
-    /// across winners instead of being redone per call, and the per-winner
-    /// bisections run concurrently. Values are bitwise identical to the
-    /// per-user path, and identical for every thread count; when several
-    /// winners fail, the error for the smallest winner id is returned.
-    ///
-    /// # Errors
-    ///
-    /// * [`McsError::Infeasible`] if `profile` itself is infeasible.
-    /// * [`McsError::NotAWinner`] if `allocation` contains a user that does
-    ///   not actually win under `profile` (e.g. an allocation from a
-    ///   different instance).
-    pub fn critical_pos_all(
-        &self,
-        profile: &TypeProfile,
-        allocation: &Allocation,
-    ) -> Result<BTreeMap<UserId, Pos>> {
-        self.critical_pos_all_with(&mut ClearContext::new(), profile, allocation)
     }
 
     /// Winner determination through a reusable [`ClearContext`]: the
@@ -141,28 +112,31 @@ impl MultiTaskMechanism {
             },
             Record::Selection,
         );
-        let outcome = match run.uncovered {
-            Some(task) => Err(McsError::Infeasible {
-                task: prepared.index.task_id(task),
-            }),
-            None => Ok(run
-                .selection
-                .iter()
-                .map(|&position| prepared.index.user_id(position))
-                .collect()),
-        };
+        let outcome = prepared.index.allocation(&run);
         prepared.workspaces.give_back(workspace);
         outcome
     }
 
-    /// The batch payment path through a reusable [`ClearContext`] — the
-    /// counterpart of [`MultiTaskMechanism::critical_pos_all`] that reuses
-    /// the context's delta-patched index, heap seeds, and workspace pool
-    /// across rounds. Bitwise identical to the context-free path.
+    /// Computes the critical PoS of *every* winner in `allocation` at once,
+    /// in parallel over [`MultiTaskMechanism::payment_threads`] threads.
+    ///
+    /// This is the batch counterpart of [`RewardScheme::critical_pos`]:
+    /// the dense profile view and the feasibility/winner checks are shared
+    /// across winners instead of being redone per call, and the per-winner
+    /// bisections run concurrently. Values are bitwise identical to the
+    /// per-user path, and identical for every thread count; when several
+    /// winners fail, the error for the smallest winner id is returned.
+    ///
+    /// The run goes through `context`: its delta-patched index, heap
+    /// seeds, and workspace pool carry over across rounds, bitwise
+    /// identical to a fresh [`ClearContext`].
     ///
     /// # Errors
     ///
-    /// Same as [`MultiTaskMechanism::critical_pos_all`].
+    /// * [`McsError::Infeasible`] if `profile` itself is infeasible.
+    /// * [`McsError::NotAWinner`] if `allocation` contains a user that does
+    ///   not actually win under `profile` (e.g. an allocation from a
+    ///   different instance).
     pub fn critical_pos_all_with(
         &self,
         context: &mut ClearContext,
@@ -275,11 +249,10 @@ mod tests {
         if !allocation.contains(user) {
             return 0.0;
         }
-        let success = mechanism.reward(declared, allocation, user, true).unwrap();
-        let failure = mechanism.reward(declared, allocation, user, false).unwrap();
+        let quote = mechanism.quote(declared, allocation, user).unwrap();
         let true_type = truth.user(user).unwrap();
         let p_any = true_type.any_task_pos().value();
-        p_any * success + (1.0 - p_any) * failure - true_type.cost().value()
+        quote.expected(p_any) - true_type.cost().value()
     }
 
     #[test]
@@ -357,13 +330,8 @@ mod tests {
         let mechanism = MultiTaskMechanism::new(alpha).unwrap();
         let allocation = mechanism.select_winners(&profile).unwrap();
         let winner = allocation.winners().next().unwrap();
-        let success = mechanism
-            .reward(&profile, &allocation, winner, true)
-            .unwrap();
-        let failure = mechanism
-            .reward(&profile, &allocation, winner, false)
-            .unwrap();
-        assert!((success - failure - alpha).abs() < 1e-9);
+        let quote = mechanism.quote(&profile, &allocation, winner).unwrap();
+        assert!((quote.success - quote.failure - alpha).abs() < 1e-9);
     }
 
     #[test]
@@ -378,7 +346,9 @@ mod tests {
         let profile = five_user_profile();
         let mechanism = MultiTaskMechanism::new(10.0).unwrap();
         let allocation = mechanism.select_winners(&profile).unwrap();
-        let sequential = mechanism.critical_pos_all(&profile, &allocation).unwrap();
+        let sequential = mechanism
+            .critical_pos_all_with(&mut ClearContext::new(), &profile, &allocation)
+            .unwrap();
         assert_eq!(sequential.len(), allocation.winner_count());
         for (&winner, &critical) in &sequential {
             let single = mechanism
@@ -390,7 +360,7 @@ mod tests {
             let parallel = mechanism
                 .clone()
                 .with_payment_threads(threads)
-                .critical_pos_all(&profile, &allocation)
+                .critical_pos_all_with(&mut ClearContext::new(), &profile, &allocation)
                 .unwrap();
             assert_eq!(parallel, sequential, "{threads} threads diverged");
         }
@@ -402,7 +372,9 @@ mod tests {
         let mechanism = MultiTaskMechanism::new(10.0).unwrap();
         let foreign = Allocation::from_winners([UserId::new(99)]);
         assert_eq!(
-            mechanism.critical_pos_all(&profile, &foreign).unwrap_err(),
+            mechanism
+                .critical_pos_all_with(&mut ClearContext::new(), &profile, &foreign)
+                .unwrap_err(),
             crate::McsError::NotAWinner {
                 user: UserId::new(99)
             }

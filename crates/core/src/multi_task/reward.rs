@@ -42,7 +42,7 @@
 //! ([`crate::multi_task::reference::critical_contribution`]); the proptest
 //! suite in `tests/engine_equivalence.rs` enforces it.
 //!
-//! For whole-round payments, [`crate::multi_task::MultiTaskMechanism::critical_pos_all`]
+//! For whole-round payments, [`crate::multi_task::MultiTaskMechanism::critical_pos_all_with`]
 //! computes every winner's critical bid in parallel; per-winner
 //! computations are independent, so the merge is deterministic for any
 //! thread count.
@@ -93,7 +93,7 @@ pub fn critical_contribution(
 /// The fast critical-bid search for a user already verified to win the
 /// (feasible) instance. Shared by [`critical_contribution`] and the
 /// parallel batch path in
-/// [`crate::multi_task::MultiTaskMechanism::critical_pos_all`].
+/// [`crate::multi_task::MultiTaskMechanism::critical_pos_all_with`].
 ///
 /// `seeds`, when provided, must match `indexed` exactly; every one of the
 /// ~60 bisection probes then skips the full candidate rescan.
@@ -297,7 +297,7 @@ pub fn algorithm5_critical_contribution(
     let (without, monopoly) = if indexed.user_count() == 1 {
         (None, true)
     } else {
-        let run = indexed.run(
+        let run = indexed.run_in(
             &mut workspace,
             RunOptions {
                 excluded: Some(position),
@@ -311,7 +311,7 @@ pub fn algorithm5_critical_contribution(
 
     let mut critical: Option<Contribution> = monopoly.then_some(Contribution::ZERO);
     if let Some(run) = &without {
-        for (&rival, &capped) in run.selection.iter().zip(&run.capped) {
+        for (&rival, &capped) in run.selection.iter().zip(run.capped) {
             // To be selected instead of user k, i's capped contribution must
             // reach (c_i / c_k) · f̄_k. Free rivals (c_k = 0) are unbeatable
             // unless i is free too.

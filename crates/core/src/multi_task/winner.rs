@@ -20,7 +20,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{McsError, Result};
-use crate::indexed::{EngineRun, IndexedProfile, Record, RunOptions, Workspace};
+use crate::indexed::{IndexedProfile, Record, RunOptions, RunView, Workspace};
 use crate::mechanism::{Allocation, WinnerDetermination};
 use crate::types::{Contribution, Cost, TaskId, TypeProfile, UserId};
 
@@ -88,7 +88,8 @@ impl GreedyWinnerDetermination {
     /// without user `i`.
     pub fn run_to_exhaustion(&self, profile: &TypeProfile) -> GreedyRun {
         let indexed = IndexedProfile::from_profile(profile);
-        let run = indexed.run(&mut Workspace::new(), RunOptions::default(), Record::Full);
+        let mut workspace = Workspace::new();
+        let run = indexed.run_in(&mut workspace, RunOptions::default(), Record::Full);
         materialize(profile, &indexed, run)
     }
 }
@@ -98,27 +99,15 @@ impl WinnerDetermination for GreedyWinnerDetermination {
         // Selection-only mode: no capped-contribution log, no residual
         // snapshots — callers that want those go through `run`.
         let indexed = IndexedProfile::from_profile(profile);
-        let run = indexed.run(
-            &mut Workspace::new(),
-            RunOptions::default(),
-            Record::Selection,
-        );
-        match run.uncovered {
-            Some(task) => Err(McsError::Infeasible {
-                task: indexed.task_id(task),
-            }),
-            None => Ok(run
-                .selection
-                .iter()
-                .map(|&position| indexed.user_id(position))
-                .collect()),
-        }
+        let mut workspace = Workspace::new();
+        let run = indexed.run_in(&mut workspace, RunOptions::default(), Record::Selection);
+        indexed.allocation(&run)
     }
 }
 
-/// Converts a dense [`EngineRun`] (recorded in [`Record::Full`] mode) back
+/// Converts a dense [`RunView`] (recorded in [`Record::Full`] mode) back
 /// into the id-keyed [`GreedyRun`] the public API exposes.
-fn materialize(profile: &TypeProfile, indexed: &IndexedProfile, run: EngineRun) -> GreedyRun {
+fn materialize(profile: &TypeProfile, indexed: &IndexedProfile, run: RunView<'_>) -> GreedyRun {
     let iterations = run
         .selection
         .iter()
@@ -130,7 +119,8 @@ fn materialize(profile: &TypeProfile, indexed: &IndexedProfile, run: EngineRun) 
                 cost: user.cost(),
                 capped_contribution: Contribution::new(run.capped[iteration])
                     .expect("capped contribution is a finite non-negative sum"),
-                residual_before: run.snapshots[iteration]
+                residual_before: run
+                    .snapshot(iteration)
                     .iter()
                     .enumerate()
                     .map(|(task, &residual)| {

@@ -61,11 +61,6 @@ impl SingleTaskMechanism {
     pub fn epsilon(&self) -> f64 {
         self.winner_determination.epsilon()
     }
-
-    /// The underlying winner-determination algorithm.
-    pub fn winner_determination(&self) -> &FptasWinnerDetermination {
-        &self.winner_determination
-    }
 }
 
 impl WinnerDetermination for SingleTaskMechanism {
@@ -110,10 +105,9 @@ mod tests {
         user: UserId,
         true_pos: f64,
     ) -> f64 {
-        let success = mechanism.reward(profile, allocation, user, true).unwrap();
-        let failure = mechanism.reward(profile, allocation, user, false).unwrap();
+        let quote = mechanism.quote(profile, allocation, user).unwrap();
         let cost = profile.user(user).unwrap().cost().value();
-        true_pos * success + (1.0 - true_pos) * failure - cost
+        quote.expected(true_pos) - cost
     }
 
     #[test]
@@ -167,9 +161,8 @@ mod tests {
         let mechanism = SingleTaskMechanism::new(0.2, alpha).unwrap();
         let allocation = mechanism.select_winners(&p).unwrap();
         let winner = allocation.winners().next().unwrap();
-        let success = mechanism.reward(&p, &allocation, winner, true).unwrap();
-        let failure = mechanism.reward(&p, &allocation, winner, false).unwrap();
-        assert!((success - failure - alpha).abs() < 1e-9);
+        let quote = mechanism.quote(&p, &allocation, winner).unwrap();
+        assert!((quote.success - quote.failure - alpha).abs() < 1e-9);
     }
 
     #[test]
@@ -206,14 +199,9 @@ mod tests {
                 let lied_utility = if allocation.contains(user) {
                     // Rewards are computed from the *declared* profile, but
                     // expectation is over the *true* PoS.
-                    let success = mechanism
-                        .reward(&deviated, &allocation, user, true)
-                        .unwrap();
-                    let failure = mechanism
-                        .reward(&deviated, &allocation, user, false)
-                        .unwrap();
+                    let quote = mechanism.quote(&deviated, &allocation, user).unwrap();
                     let cost = p.user(user).unwrap().cost().value();
-                    true_pos * success + (1.0 - true_pos) * failure - cost
+                    quote.expected(true_pos) - cost
                 } else {
                     0.0
                 };
@@ -242,15 +230,10 @@ mod tests {
         let deviated = p.with_user_type(lied_type).unwrap();
         let allocation = mechanism.select_winners(&deviated).unwrap();
         if allocation.contains(liar) {
-            let success = mechanism
-                .reward(&deviated, &allocation, liar, true)
-                .unwrap();
-            let failure = mechanism
-                .reward(&deviated, &allocation, liar, false)
-                .unwrap();
+            let quote = mechanism.quote(&deviated, &allocation, liar).unwrap();
             let cost = p.user(liar).unwrap().cost().value();
             let true_pos = 0.5;
-            let utility = true_pos * success + (1.0 - true_pos) * failure - cost;
+            let utility = quote.expected(true_pos) - cost;
             assert!(utility <= 1e-9, "liar profits: {utility}");
         }
     }

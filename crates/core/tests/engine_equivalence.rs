@@ -5,10 +5,14 @@
 //! divergence breaks the platform's determinism contract (payments must
 //! not depend on thread counts or on which code path served a round).
 
-use mcs_core::mechanism::{RewardScheme, WinnerDetermination};
+use std::collections::BTreeMap;
+
+use mcs_core::indexed::ClearContext;
+use mcs_core::mechanism::{RewardScheme, RoundMechanism, WinnerDetermination};
 use mcs_core::multi_task::{
     critical_contribution, reference, GreedyWinnerDetermination, MultiTaskMechanism,
 };
+use mcs_core::single_task::SingleTaskMechanism;
 use mcs_core::types::{Cost, Pos, Task, TaskId, TypeProfile, UserId, UserType};
 use mcs_core::McsError;
 use proptest::prelude::*;
@@ -47,6 +51,45 @@ fn multi_task_profile() -> impl Strategy<Value = TypeProfile> {
                 .collect();
             TypeProfile::new(users, tasks).unwrap()
         })
+}
+
+/// Random single-task profiles: 2–7 users on one task, some infeasible.
+fn single_task_profile() -> impl Strategy<Value = TypeProfile> {
+    (
+        0.3..0.9f64,
+        proptest::collection::vec((0.5..20.0f64, 0.05..0.7f64), 2..8),
+    )
+        .prop_map(|(requirement, users)| {
+            let users = users
+                .into_iter()
+                .enumerate()
+                .map(|(i, (cost, pos))| UserType::single(UserId::new(i as u32), cost, pos).unwrap())
+                .collect();
+            TypeProfile::single_task(Pos::new(requirement).unwrap(), users).unwrap()
+        })
+}
+
+/// Per-winner reference quotes, written out: the shape's own mechanism
+/// searches each winner's critical PoS `p̄`, priced as `(1 − p̄)·α + c` on
+/// success and `−p̄·α + c` on failure. Quotes are `(success, failure)`
+/// bit patterns.
+fn reference_quotes<M: WinnerDetermination + RewardScheme>(
+    mechanism: &M,
+    profile: &TypeProfile,
+) -> Result<BTreeMap<UserId, (u64, u64)>, McsError> {
+    let allocation = mechanism.select_winners(profile)?;
+    let alpha = mechanism.alpha();
+    let mut quotes = BTreeMap::new();
+    for winner in allocation.winners() {
+        let critical = mechanism
+            .critical_pos(profile, &allocation, winner)?
+            .value();
+        let cost = profile.user(winner)?.cost().value();
+        let success = (1.0 - critical) * alpha + cost;
+        let failure = -critical * alpha + cost;
+        quotes.insert(winner, (success.to_bits(), failure.to_bits()));
+    }
+    Ok(quotes)
 }
 
 proptest! {
@@ -96,7 +139,9 @@ proptest! {
             Err(McsError::Infeasible { .. }) => return Ok(()),
             Err(other) => return Err(TestCaseError::fail(format!("unexpected error {other}"))),
         };
-        let sequential = mechanism.critical_pos_all(&profile, &allocation).unwrap();
+        let sequential = mechanism
+            .critical_pos_all_with(&mut ClearContext::new(), &profile, &allocation)
+            .unwrap();
         prop_assert_eq!(sequential.len(), allocation.winner_count());
         for (&winner, critical) in &sequential {
             let single = mechanism.critical_pos(&profile, &allocation, winner).unwrap();
@@ -106,9 +151,46 @@ proptest! {
             let parallel = mechanism
                 .clone()
                 .with_payment_threads(threads)
-                .critical_pos_all(&profile, &allocation)
+                .critical_pos_all_with(&mut ClearContext::new(), &profile, &allocation)
                 .unwrap();
             prop_assert_eq!(&parallel, &sequential);
+        }
+    }
+
+    /// The platform's one quoting path: `RoundMechanism` picks the FPTAS
+    /// exactly when the profile has one task, and its `quote_all` on a
+    /// shared (warm) context equals the per-winner reference bit for bit
+    /// for 1, 2, and 4 payment threads.
+    #[test]
+    fn round_mechanism_quotes_equal_per_winner_reference(
+        profile in (any::<bool>(), single_task_profile(), multi_task_profile())
+            .prop_map(|(single, one, many)| if single { one } else { many }),
+    ) {
+        const EPSILON: f64 = 0.3;
+        const ALPHA: f64 = 10.0;
+        let one_task = profile.tasks().len() == 1;
+        let expected = if one_task {
+            reference_quotes(&SingleTaskMechanism::new(EPSILON, ALPHA).unwrap(), &profile)
+        } else {
+            reference_quotes(&MultiTaskMechanism::new(ALPHA).unwrap(), &profile)
+        };
+        let mut context = ClearContext::new();
+        for threads in [1usize, 2, 4] {
+            let mechanism = RoundMechanism::new(&profile, EPSILON, ALPHA, threads).unwrap();
+            prop_assert_eq!(matches!(mechanism, RoundMechanism::SingleTask(_)), one_task);
+            let quoted = mechanism
+                .allocate(&mut context, &profile)
+                .and_then(|allocation| mechanism.quote_all(&mut context, &profile, &allocation))
+                .map(|quotes| {
+                    quotes
+                        .into_iter()
+                        .map(|(winner, q)| (winner, (q.success.to_bits(), q.failure.to_bits())))
+                        .collect()
+                });
+            prop_assert!(
+                quoted == expected,
+                "{threads} payment threads: {quoted:?} != reference {expected:?}"
+            );
         }
     }
 }

@@ -122,11 +122,11 @@ fn churn_ops() -> impl Strategy<Value = Vec<(u8, usize, u32, f64)>> {
 /// Runs the default greedy on `indexed` both with freshly built seeds and
 /// with a plain scan, returning the capped log as bits for comparison.
 fn fingerprint_runs(indexed: &IndexedProfile) -> (Vec<usize>, Vec<u64>, Option<usize>) {
-    let mut workspace = Workspace::new();
+    let (mut workspace, mut seeded_workspace) = (Workspace::new(), Workspace::new());
     let seeds = indexed.heap_seeds();
-    let scanned = indexed.run(&mut workspace, RunOptions::default(), Record::Full);
-    let seeded = indexed.run(
-        &mut workspace,
+    let scanned = indexed.run_in(&mut workspace, RunOptions::default(), Record::Full);
+    let seeded = indexed.run_in(
+        &mut seeded_workspace,
         RunOptions {
             seeds: Some(&seeds),
             ..RunOptions::default()
@@ -135,7 +135,7 @@ fn fingerprint_runs(indexed: &IndexedProfile) -> (Vec<usize>, Vec<u64>, Option<u
     );
     assert_eq!(scanned, seeded, "seeded run diverged from scanned run");
     (
-        scanned.selection.clone(),
+        scanned.selection.to_vec(),
         scanned.capped.iter().map(|c| c.to_bits()).collect(),
         scanned.uncovered,
     )

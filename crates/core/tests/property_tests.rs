@@ -342,10 +342,9 @@ proptest! {
         for winner in allocation.winners() {
             let p = profile.user(winner).unwrap().pos_for(TaskId::new(0)).unwrap().value();
             let critical = mechanism.critical_pos(&profile, &allocation, winner).unwrap().value();
-            let success = mechanism.reward(&profile, &allocation, winner, true).unwrap();
-            let failure = mechanism.reward(&profile, &allocation, winner, false).unwrap();
+            let quote = mechanism.quote(&profile, &allocation, winner).unwrap();
             let cost = profile.user(winner).unwrap().cost().value();
-            let direct = p * success + (1.0 - p) * failure - cost;
+            let direct = quote.expected(p) - cost;
             let closed = (p - critical) * alpha;
             prop_assert!((direct - closed).abs() < 1e-9);
             // Individual rationality.

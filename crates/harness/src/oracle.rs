@@ -37,8 +37,7 @@ use mcs_core::analysis::{
     check_critical_bid_padding, expected_utility_from_quotes, implied_critical_pos,
     meets_all_requirements, social_cost, CriticalPadViolation,
 };
-use mcs_core::multi_task::MultiTaskMechanism;
-use mcs_core::single_task::SingleTaskMechanism;
+use mcs_core::mechanism::{RoundMechanism, WinnerDetermination};
 use mcs_core::types::{TypeProfile, UserId};
 use mcs_platform::batch::RoundId;
 use mcs_platform::config::EngineConfig;
@@ -347,42 +346,27 @@ pub fn check_round(
         }),
     }
 
-    // The engine picks the mechanism by the round's task count; rebuild
-    // the same one to replay its decisions.
-    let single;
-    let multi;
-    let mechanism: &dyn ReplayMechanism = if profile.is_single_task() {
-        match SingleTaskMechanism::new(engine.epsilon, engine.alpha) {
-            Ok(m) => {
-                single = m;
-                &single
-            }
-            Err(error) => {
-                violations.push(OracleViolation::OracleError {
-                    round,
-                    detail: error.to_string(),
-                });
-                return violations;
-            }
-        }
-    } else {
-        match MultiTaskMechanism::new(engine.alpha) {
-            Ok(m) => {
-                multi = m;
-                &multi
-            }
-            Err(error) => {
-                violations.push(OracleViolation::OracleError {
-                    round,
-                    detail: error.to_string(),
-                });
-                return violations;
-            }
+    // Rebuild the mechanism the engine cleared with to replay its
+    // decisions.
+    let mechanism = match RoundMechanism::new(
+        profile,
+        engine.epsilon,
+        engine.alpha,
+        engine.payment_threads,
+    ) {
+        Ok(mechanism) => mechanism,
+        Err(error) => {
+            violations.push(OracleViolation::OracleError {
+                round,
+                detail: error.to_string(),
+            });
+            return violations;
         }
     };
 
-    match mechanism.winners(profile) {
-        Ok(oracle_winners) => {
+    match mechanism.select_winners(profile) {
+        Ok(allocation) => {
+            let oracle_winners: Vec<UserId> = allocation.winners().collect();
             let engine_winners: Vec<UserId> = cleared.allocation.winners().collect();
             if engine_winners != oracle_winners {
                 violations.push(OracleViolation::AllocationMismatch {
@@ -445,7 +429,8 @@ pub fn check_round(
         if padded_so_far < oracle.max_padded_winners {
             match implied_critical_pos(engine.alpha, quote.success, cost) {
                 Ok(critical) => {
-                    match mechanism.padding(
+                    match check_critical_bid_padding(
+                        &mechanism,
                         profile,
                         user,
                         critical,
@@ -613,49 +598,6 @@ pub fn check_round_trace(
         .into_iter()
         .map(|detail| OracleViolation::TraceIncomplete { round, detail })
         .collect()
-}
-
-/// Object-safe facade over the two concrete mechanisms, so [`check_round`]
-/// can hold either behind one reference.
-trait ReplayMechanism {
-    fn winners(&self, profile: &TypeProfile) -> mcs_core::Result<Vec<UserId>>;
-
-    #[allow(clippy::too_many_arguments)]
-    fn padding(
-        &self,
-        profile: &TypeProfile,
-        user: UserId,
-        critical: mcs_core::types::Pos,
-        reference_success: f64,
-        pads: &[f64],
-        tolerance: f64,
-    ) -> mcs_core::Result<Vec<CriticalPadViolation>>;
-}
-
-impl<M: mcs_core::mechanism::Mechanism> ReplayMechanism for M {
-    fn winners(&self, profile: &TypeProfile) -> mcs_core::Result<Vec<UserId>> {
-        Ok(self.select_winners(profile)?.winners().collect())
-    }
-
-    fn padding(
-        &self,
-        profile: &TypeProfile,
-        user: UserId,
-        critical: mcs_core::types::Pos,
-        reference_success: f64,
-        pads: &[f64],
-        tolerance: f64,
-    ) -> mcs_core::Result<Vec<CriticalPadViolation>> {
-        check_critical_bid_padding(
-            self,
-            profile,
-            user,
-            critical,
-            reference_success,
-            pads,
-            tolerance,
-        )
-    }
 }
 
 #[cfg(test)]

@@ -1,41 +1,26 @@
 //! Settlement: execution-outcome reports become execution-contingent
 //! payouts, posted to a per-user ledger.
 //!
-//! The shard stage quotes each winner both of her contingent rewards —
-//! `(1 − p̄_i)·α + c_i` on success, `−p̄_i·α + c_i` on failure — before any
-//! outcome is known (see [`RewardScheme`](mcs_core::mechanism::RewardScheme)).
-//! Settlement is then a pure lookup: pick the quoted branch matching the
-//! round's execution report and post it. Failure payouts can be negative
-//! (the paper's mechanism fines unlucky winners through the `−p̄_i·α`
-//! term), so balances are signed.
+//! The shard stage prices each winner once, through
+//! [`RoundMechanism::quote_all`](mcs_core::mechanism::RoundMechanism::quote_all):
+//! one critical-PoS search `p̄_i` yields both contingent rewards —
+//! `(1 − p̄_i)·α + c_i` on success, `−p̄_i·α + c_i` on failure — as a
+//! [`RewardQuote`], before any outcome is known. Settlement is then a pure
+//! lookup: pick the quoted branch matching the round's execution report
+//! and post it. Failure payouts can be negative (the paper's mechanism
+//! fines unlucky winners through the `−p̄_i·α` term), so balances are
+//! signed.
 
 use std::collections::BTreeMap;
 
 use mcs_core::types::UserId;
-use serde::{Deserialize, Serialize};
 
 use crate::batch::RoundId;
 use crate::shard::ClearedRound;
 
-/// A winner's two contingent rewards, quoted at clearing time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RewardQuote {
-    /// Paid when the winner completes at least one of her tasks.
-    pub success: f64,
-    /// Paid (possibly negative) when she completes none.
-    pub failure: f64,
-}
-
-impl RewardQuote {
-    /// The payout for an observed outcome.
-    pub fn payout(&self, completed: bool) -> f64 {
-        if completed {
-            self.success
-        } else {
-            self.failure
-        }
-    }
-}
+/// A winner's two contingent rewards, quoted at clearing time (defined in
+/// `mcs_core`, where the reward formula lives).
+pub use mcs_core::mechanism::RewardQuote;
 
 /// The payouts of one settled round.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,6 +1,11 @@
 //! Sharded round clearing: a fixed worker pool running winner
 //! determination, reward quoting, and execution draws.
 //!
+//! Every round clears through one path: [`RoundMechanism`] picks the
+//! mechanism for the round's shape, its `allocate` runs under the
+//! [`Stage::Allocate`] span and its `quote_all` — one critical-PoS search
+//! per winner, pricing both contingent rewards — under [`Stage::Pay`].
+//!
 //! ## Determinism contract
 //!
 //! For a fixed engine seed, clearing is **bitwise identical for every
@@ -35,10 +40,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mcs_core::indexed::{ClearContext, ContextPool};
-use mcs_core::mechanism::{contingent_reward, Allocation, Mechanism, RewardScheme};
-use mcs_core::multi_task::MultiTaskMechanism;
-use mcs_core::single_task::SingleTaskMechanism;
-use mcs_core::types::{TypeProfile, UserId};
+use mcs_core::mechanism::{Allocation, RoundMechanism};
+use mcs_core::types::UserId;
 use mcs_obs::{FlightRecorder, RawEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,79 +115,14 @@ fn span_exit(
     }
 }
 
-fn quote_all<M: Mechanism>(
-    mechanism: &M,
-    profile: &TypeProfile,
-    id: RoundId,
-    metrics: Option<&Metrics>,
-    trace: Option<&FlightRecorder>,
-) -> Result<(Allocation, BTreeMap<UserId, RewardQuote>), mcs_core::McsError> {
-    span_enter(trace, Stage::Allocate, id);
-    let start = Instant::now();
-    let allocation = mechanism.select_winners(profile)?;
-    record_stage(metrics, Stage::Allocate, start.elapsed());
-    span_exit(trace, Stage::Allocate, id, start.elapsed());
-    span_enter(trace, Stage::Pay, id);
-    let start = Instant::now();
-    let mut quotes = BTreeMap::new();
-    for winner in allocation.winners() {
-        let success = mechanism.reward(profile, &allocation, winner, true)?;
-        let failure = mechanism.reward(profile, &allocation, winner, false)?;
-        quotes.insert(winner, RewardQuote { success, failure });
-    }
-    record_stage(metrics, Stage::Pay, start.elapsed());
-    span_exit(trace, Stage::Pay, id, start.elapsed());
-    Ok((allocation, quotes))
-}
-
-/// The multi-task fast path: one shared winner determination, then every
-/// winner's critical bid in one (optionally parallel) batch. Quotes go
-/// through [`contingent_reward`], the same formula as the per-user
-/// [`RewardScheme::reward`] default, so they are bitwise identical to
-/// [`quote_all`]'s for every `payment_threads` value.
+/// Clears one round: winner determination, one [`RewardQuote`] per
+/// winner, and one set of execution draws.
 ///
-/// Both stages run through `context`: the allocate span syncs the
-/// context's persistent index to this round's profile (delta-patching
-/// when the population carried over) and the pay span reuses that index,
-/// its heap seeds, and its pooled workspaces for every bisection probe.
-fn quote_all_multi_task(
-    mechanism: &MultiTaskMechanism,
-    profile: &TypeProfile,
-    id: RoundId,
-    context: &mut ClearContext,
-    metrics: Option<&Metrics>,
-    trace: Option<&FlightRecorder>,
-) -> Result<(Allocation, BTreeMap<UserId, RewardQuote>), mcs_core::McsError> {
-    span_enter(trace, Stage::Allocate, id);
-    let start = Instant::now();
-    let allocation = mechanism.allocate_with(context, profile)?;
-    record_stage(metrics, Stage::Allocate, start.elapsed());
-    span_exit(trace, Stage::Allocate, id, start.elapsed());
-    span_enter(trace, Stage::Pay, id);
-    let start = Instant::now();
-    let criticals = mechanism.critical_pos_all_with(context, profile, &allocation)?;
-    let mut quotes = BTreeMap::new();
-    for (winner, critical) in criticals {
-        let cost = profile.user(winner)?.cost();
-        quotes.insert(
-            winner,
-            RewardQuote {
-                success: contingent_reward(mechanism.alpha(), critical, cost, true),
-                failure: contingent_reward(mechanism.alpha(), critical, cost, false),
-            },
-        );
-    }
-    record_stage(metrics, Stage::Pay, start.elapsed());
-    span_exit(trace, Stage::Pay, id, start.elapsed());
-    Ok((allocation, quotes))
-}
-
-/// Clears one round: winner determination, reward quotes for both
-/// outcomes, and one set of execution draws.
-///
-/// Single-task rounds use the FPTAS mechanism (`ε` from the config);
-/// multi-task rounds use the greedy mechanism with
-/// [`EngineConfig::payment_threads`]-wide parallel payments.
+/// The mechanism is [`RoundMechanism::new`]'s pick for the round's shape:
+/// the FPTAS mechanism (`ε` from the config) for a single-task round, the
+/// greedy mechanism with [`EngineConfig::payment_threads`]-wide parallel
+/// payments otherwise. Either way each winner's critical PoS is searched
+/// once and prices both of her quotes.
 ///
 /// # Errors
 ///
@@ -200,10 +138,10 @@ pub fn clear_round(round: &Round, config: &EngineConfig) -> Result<ClearedRound,
 /// show up in metrics and in the flight recorder.
 ///
 /// `context` is the worker's clearing arena. The pool hands each worker
-/// a persistent context so consecutive rounds delta-patch the CSR index
-/// instead of rebuilding it; [`clear_round`] passes a fresh one, which
-/// keeps it a pure function of `(round, config)` — the two are bitwise
-/// identical by the `sync_with` contract.
+/// a persistent context so consecutive multi-task rounds delta-patch the
+/// CSR index instead of rebuilding it; [`clear_round`] passes a fresh
+/// one, which keeps it a pure function of `(round, config)` — the two are
+/// bitwise identical by the `sync_with` contract.
 fn clear_round_metered(
     round: &Round,
     config: &EngineConfig,
@@ -212,14 +150,23 @@ fn clear_round_metered(
     trace: Option<&FlightRecorder>,
 ) -> Result<ClearedRound, RoundError> {
     let profile = &round.profile;
-    let (allocation, quotes) = if profile.is_single_task() {
-        let mechanism = SingleTaskMechanism::new(config.epsilon, config.alpha)?;
-        quote_all(&mechanism, profile, round.id, metrics, trace)?
-    } else {
-        let mechanism =
-            MultiTaskMechanism::new(config.alpha)?.with_payment_threads(config.payment_threads);
-        quote_all_multi_task(&mechanism, profile, round.id, context, metrics, trace)?
-    };
+    let mechanism = RoundMechanism::new(
+        profile,
+        config.epsilon,
+        config.alpha,
+        config.payment_threads,
+    )?;
+
+    span_enter(trace, Stage::Allocate, round.id);
+    let start = Instant::now();
+    let allocation = mechanism.allocate(context, profile)?;
+    record_stage(metrics, Stage::Allocate, start.elapsed());
+    span_exit(trace, Stage::Allocate, round.id, start.elapsed());
+    span_enter(trace, Stage::Pay, round.id);
+    let start = Instant::now();
+    let quotes = mechanism.quote_all(context, profile, &allocation)?;
+    record_stage(metrics, Stage::Pay, start.elapsed());
+    span_exit(trace, Stage::Pay, round.id, start.elapsed());
 
     let mut rng = StdRng::seed_from_u64(round_seed(config.seed, round.id));
     let mut reports = BTreeMap::new();
@@ -236,12 +183,7 @@ fn clear_round_metered(
         }
         reports.insert(winner, completed);
         social_cost += user.cost().value();
-        let quote = &quotes[&winner];
-        expected_payment += mcs_core::analysis::expected_payment_from_quotes(
-            user.any_task_pos().value(),
-            quote.success,
-            quote.failure,
-        );
+        expected_payment += quotes[&winner].expected(user.any_task_pos().value());
     }
     let economics = RoundEconomics {
         expected_payment,
@@ -410,7 +352,9 @@ impl ShardPool {
 mod tests {
     use super::*;
     use crate::fault::NoFaults;
-    use mcs_core::types::{Cost, Pos, UserType};
+    use mcs_core::mechanism::{RewardScheme, WinnerDetermination};
+    use mcs_core::single_task::SingleTaskMechanism;
+    use mcs_core::types::{Cost, Pos, TypeProfile, UserType};
     use mcs_core::types::{Task, TaskId};
 
     fn round(id: u64, costs_and_pos: &[(f64, f64)]) -> Round {
@@ -441,13 +385,32 @@ mod tests {
 
     #[test]
     fn cleared_round_is_internally_consistent() {
-        let cleared = clear_round(&feasible_round(0), &EngineConfig::default()).unwrap();
+        let config = EngineConfig::default();
+        let round = feasible_round(0);
+        let cleared = clear_round(&round, &config).unwrap();
         assert!(!cleared.allocation.is_empty());
         assert_eq!(cleared.quotes.len(), cleared.allocation.winner_count());
         assert_eq!(cleared.reports.len(), cleared.allocation.winner_count());
         assert!(cleared.social_cost > 0.0);
         for quote in cleared.quotes.values() {
             assert!(quote.success > quote.failure);
+        }
+        // Each winner's quotes price both branches from one critical bid,
+        // bit for bit as the per-winner FPTAS reference does.
+        let reference = SingleTaskMechanism::new(config.epsilon, config.alpha).unwrap();
+        let allocation = reference.select_winners(&round.profile).unwrap();
+        assert_eq!(cleared.allocation, allocation);
+        for winner in allocation.winners() {
+            let critical = reference
+                .critical_pos(&round.profile, &allocation, winner)
+                .unwrap()
+                .value();
+            let cost = round.profile.user(winner).unwrap().cost().value();
+            let quote = cleared.quotes[&winner];
+            let success = (1.0 - critical) * config.alpha + cost;
+            let failure = -critical * config.alpha + cost;
+            assert_eq!(quote.success.to_bits(), success.to_bits(), "{winner}");
+            assert_eq!(quote.failure.to_bits(), failure.to_bits(), "{winner}");
         }
     }
 

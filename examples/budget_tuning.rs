@@ -47,13 +47,9 @@ fn main() -> Result<()> {
             .allocation
             .winners()
             .map(|w| {
-                let success = auction
+                let quote = auction
                     .mechanism()
-                    .reward(&profile, &outcome.allocation, w, true)
-                    .expect("winner");
-                let failure = auction
-                    .mechanism()
-                    .reward(&profile, &outcome.allocation, w, false)
+                    .quote(&profile, &outcome.allocation, w)
                     .expect("winner");
                 let p = profile
                     .user(w)
@@ -61,7 +57,7 @@ fn main() -> Result<()> {
                     .pos_for(TaskId::new(0))
                     .expect("task in set")
                     .value();
-                p * success + (1.0 - p) * failure
+                quote.expected(p)
             })
             .sum();
         println!("{alpha:>6}  {expected_payout:>14.2}  {mean_utility:>16.3}");

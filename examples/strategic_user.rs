@@ -58,11 +58,11 @@ fn main() -> Result<()> {
     println!("user {liar}'s expected utility under the lie: {lying_utility:+.4}");
 
     if lying_allocation.contains(liar) {
-        let success = mechanism.reward(&declared, &lying_allocation, liar, true)?;
-        let failure = mechanism.reward(&declared, &lying_allocation, liar, false)?;
+        let quote = mechanism.quote(&declared, &lying_allocation, liar)?;
         println!(
-            "  (she wins, but rewards are contingent: {success:+.3} on success, \
-             {failure:+.3} on failure — and she only succeeds half the time)"
+            "  (she wins, but rewards are contingent: {:+.3} on success, \
+             {:+.3} on failure — and she only succeeds half the time)",
+            quote.success, quote.failure
         );
     }
 

@@ -183,4 +183,24 @@ rm -rf "${OBS_DIR}"
 trap - EXIT
 echo "trace smoke: report rendered, self-diff identical"
 
+echo "==> pipeline benchmark checks (BENCHMARK.json command, every workload)"
+# Runs the repository benchmark exactly as declared in BENCHMARK.json, on
+# each of its workloads, short and traced, for its built-in checks alone:
+# check_round on every settled round, the cluster fingerprint against
+# ground_truth, and traced-vs-untraced bitwise equality. A run must exit
+# 0 and end in a `"correct": true` line. Measured: about 62 s for all four
+# workloads on a 2-core host once perfbench is built (its first build
+# adds about 45 s).
+mapfile -t BENCH_CMD < <(python3 -c \
+  'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
+mapfile -t BENCH_WORKLOADS < <(python3 -c \
+  'import json; print("\n".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+for workload in "${BENCH_WORKLOADS[@]}"; do
+  BENCH_OUT="$("${BENCH_CMD[@]}" --workload "${workload}" --seed 1 --seconds 2 --trace 1)" || {
+    echo "bench checks: ${workload} exited non-zero"; exit 1; }
+  echo "${BENCH_OUT}" | tail -1 | grep -q '"correct": true' || {
+    echo "bench checks: ${workload} did not report \"correct\": true"; exit 1; }
+  echo "bench checks: ${workload} correct"
+done
+
 echo "CI green."

@@ -53,15 +53,11 @@ fn auction_round_trip_on_real_pipeline_data() {
 
     // Execution-contingent rewards: success strictly better than failure.
     for winner in outcome.allocation.winners() {
-        let success = auction
+        let quote = auction
             .mechanism()
-            .reward(&population.profile, &outcome.allocation, winner, true)
+            .quote(&population.profile, &outcome.allocation, winner)
             .unwrap();
-        let failure = auction
-            .mechanism()
-            .reward(&population.profile, &outcome.allocation, winner, false)
-            .unwrap();
-        assert!(success > failure);
+        assert!(quote.success > quote.failure);
     }
 }
 

@@ -154,7 +154,7 @@ fn single_task_winners_padded_toward_critical_keep_winning_at_the_same_price() {
         };
         for user in allocation.winners() {
             let critical = mechanism.critical_pos(&truth, &allocation, user).unwrap();
-            let reference = mechanism.reward(&truth, &allocation, user, true).unwrap();
+            let reference = mechanism.quote(&truth, &allocation, user).unwrap().success;
             let violations = check_critical_bid_padding(
                 &mechanism, &truth, user, critical, reference, &PADS, 1e-6,
             )
@@ -178,7 +178,7 @@ fn multi_task_winners_padded_toward_critical_keep_winning_at_the_same_price() {
         };
         for user in allocation.winners() {
             let critical = mechanism.critical_pos(&truth, &allocation, user).unwrap();
-            let reference = mechanism.reward(&truth, &allocation, user, true).unwrap();
+            let reference = mechanism.quote(&truth, &allocation, user).unwrap().success;
             let violations = check_critical_bid_padding(
                 &mechanism, &truth, user, critical, reference, &PADS, 1e-6,
             )
