@@ -145,6 +145,9 @@ fn pinned_all_stage_campaign_survives_with_invariants_intact() {
         outcome.rounds_closed as usize,
         outcome.results.len() + outcome.quarantine.len()
     );
+    // Pinned: any drift in the drive loop, the engine or the mirror moves
+    // this digest.
+    assert_eq!(outcome.fingerprint(), 0x9afa_19b8_2fe6_8274);
 }
 
 /// The same pinned plan over the multi-task mechanism family.
@@ -161,6 +164,7 @@ fn pinned_all_stage_campaign_runs_clean_multi_task() {
     assert!(outcome.is_clean(), "{:?}", outcome.violations);
     assert_eq!(outcome.rebuilds, 1);
     assert!(outcome.quarantine.len() >= 2);
+    assert_eq!(outcome.fingerprint(), 0xa3fb_2d24_5b40_947e);
 }
 
 /// Flipped reports change payouts but never break settlement/result
