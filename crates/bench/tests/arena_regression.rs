@@ -9,23 +9,11 @@ use mcs_bench::synthetic_multi_task;
 use mcs_core::indexed::ClearContext;
 use mcs_core::multi_task::MultiTaskMechanism;
 use mcs_core::types::TypeProfile;
+use mcs_obs::Fnv;
 
 const N: usize = 10_000;
 const TASKS: usize = 50;
 const SEED: u64 = 4242;
-
-/// FNV-1a over a word stream — the digest idiom the campaign harness
-/// pins its fingerprints with.
-fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
 
 /// Clears `profile` on `context` and digests `(winner id, critical PoS
 /// bits)` in id order.
@@ -40,10 +28,12 @@ fn clear_digest(
     let criticals = mechanism
         .critical_pos_all_with(context, profile, &allocation)
         .expect("winners have critical bids");
-    let digest = fnv(criticals
-        .iter()
-        .flat_map(|(user, pos)| [user.index() as u64, pos.value().to_bits()]));
-    (criticals.len(), digest)
+    let mut fnv = Fnv::new();
+    for (user, pos) in &criticals {
+        fnv.write_u64(user.index() as u64);
+        fnv.write_u64(pos.value().to_bits());
+    }
+    (criticals.len(), fnv.finish())
 }
 
 #[test]

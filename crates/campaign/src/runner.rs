@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use mcs_core::indexed::ContextPool;
 use mcs_core::types::{Pos, Task, TaskId, UserId};
-use mcs_obs::{EventKind, RawEvent};
+use mcs_obs::{EventKind, Fnv, RawEvent};
 use mcs_platform::prelude::{Engine, EngineCheckpoint, EngineConfig, FaultInjector};
 
 use crate::calibrate::{CalibrationDecision, CalibratorConfig, PosCalibrator};
@@ -222,26 +222,6 @@ impl CampaignReport {
     }
 }
 
-/// FNV-1a, 64-bit — the same digest idiom the chaos harness uses.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Drives a campaign to full coverage or budget exhaustion.
 #[derive(Debug)]
 pub struct CampaignRunner {
@@ -331,7 +311,7 @@ impl CampaignRunner {
         // lets its shard workers delta-patch the previous round's CSR
         // index instead of re-flattening — residual re-auction
         // populations are mostly carry-over bidders. Bitwise neutral
-        // (see `EngineConfig::reuse_index`).
+        // (see `mcs_core::indexed::sync_with`).
         let clear_contexts = ContextPool::new();
 
         let mut index = 0;
@@ -614,24 +594,6 @@ mod tests {
         }
         assert_eq!(fingerprints[0], fingerprints[1]);
         assert_eq!(fingerprints[1], fingerprints[2]);
-    }
-
-    #[test]
-    fn index_reuse_never_changes_campaign_fingerprints() {
-        let reused = CampaignRunner::new(config(13, 0.3));
-        let mut source = SyntheticBidSource::new(13, 12);
-        let reused_print = reused.run(&mut source).fingerprint();
-
-        let mut fresh_config = config(13, 0.3);
-        fresh_config.engine = fresh_config.engine.with_reuse_index(false);
-        let fresh = CampaignRunner::new(fresh_config);
-        let mut source = SyntheticBidSource::new(13, 12);
-        let fresh_print = fresh.run(&mut source).fingerprint();
-
-        assert_eq!(
-            reused_print, fresh_print,
-            "delta-patched campaign clearing diverged from fresh-index clearing"
-        );
     }
 
     #[test]

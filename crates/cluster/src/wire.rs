@@ -29,23 +29,15 @@ use mcs_platform::ingest::Bid;
 use mcs_platform::settle::{RewardQuote, RoundSettlement};
 use mcs_platform::shard::ClearedRound;
 
+/// The workspace's FNV-1a, reused here as the frame checksum.
+pub use mcs_obs::fnv1a64;
+
 /// Frame magic: protocol name + version.
 pub const MAGIC: [u8; 8] = *b"MCSCLST1";
 
 /// Hard cap on payload size (64 MiB): a corrupted length prefix must
 /// not become an absurd allocation.
 pub const MAX_PAYLOAD: usize = 64 << 20;
-
-/// FNV-1a over a byte slice — the same digest family the scenario
-/// corpus pins fingerprints with, reused here as the frame checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Why a frame or payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -52,7 +52,7 @@
 //! * `--cluster` deployment mode: runs every pinned corpus scenario
 //!   through `mcs-cluster` deployments and requires (a) 1-node and
 //!   `--nodes`-node loopback runs to produce bitwise-identical
-//!   fingerprints, (b) the in-process `ClusterMirror` ground truth to
+//!   fingerprints, (b) the in-process `scenario_ground_truth` oracle to
 //!   agree, and (c) the three cluster chaos campaigns to hold: node
 //!   loss fails over with an unchanged fingerprint, partition
 //!   quarantines the round with a complete post-mortem, duplicate
@@ -764,7 +764,7 @@ fn run_cluster_cli(scenario: &Scenario, options: &Options) -> bool {
         );
         ok = false;
     }
-    let mirror = ClusterMirror::of_scenario(scenario, bands).fingerprint();
+    let mirror = scenario_ground_truth(scenario, bands).fingerprint();
     if mirror != single.fingerprint {
         eprintln!(
             "  MIRROR DISAGREES: ground truth {mirror:016x} != deployment {:016x}",

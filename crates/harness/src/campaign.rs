@@ -1,18 +1,19 @@
 //! Campaign execution: drive a faulted bid stream through a real
-//! [`Engine`], mirror every accepted bid, and oracle-check every
-//! surviving round.
+//! [`Engine`](mcs_platform::engine::Engine), mirror every accepted bid,
+//! and oracle-check every surviving round.
 //!
 //! ## The mirror
 //!
-//! The engine never exposes the declared profile of a round it cleared,
-//! and batch faults (delayed ticks) can split a logical round across
-//! engine rounds — so the campaign runs a *mirror* [`Batcher`] with the
-//! same policy, fed the exact same submissions and ticks. Because batching
-//! and validation are deterministic, the mirror closes bitwise-identical
-//! rounds with identical ids, giving the campaign a per-round
-//! [`TypeProfile`] to hand the oracle and a ground truth for which bids
-//! must be rejected. Any engine/mirror disagreement is itself reported as
-//! an [`OracleViolation::StreamDesync`].
+//! The campaign drives the engine through a `MirroredEngine` (the
+//! crate-private `mirror` module), the harness's one engine-vs-mirror
+//! loop: a mirror batcher and admission controller fed the same
+//! submissions and ticks close bitwise-identical rounds, so every
+//! cleared round has a declared profile to oracle-check and every shed
+//! or rejection is predicted independently. On top of it the
+//! campaign arms each logical round's shard/settle/batch faults onto the
+//! concrete engine round the mirror closed, runs the scheduled
+//! checkpoint/drop/rebuild cycles, and checks that the injector observed
+//! exactly the quarantines the engine recorded.
 //!
 //! ## Reproducibility
 //!
@@ -25,18 +26,17 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Once};
 
-use mcs_core::types::{Task, TaskId, TypeProfile, UserId};
-use mcs_obs::PostMortem;
-use mcs_platform::admission::{Admission, AdmissionController};
-use mcs_platform::batch::{Batcher, Round, RoundId};
+use mcs_core::types::{Task, TaskId, UserId};
+use mcs_obs::{Fnv, PostMortem};
+use mcs_platform::batch::RoundId;
 use mcs_platform::config::{AdmissionConfig, EngineConfig, TraceConfig};
-use mcs_platform::degrade::{QuarantinedRound, RoundError};
-use mcs_platform::engine::Engine;
+use mcs_platform::degrade::QuarantinedRound;
 use mcs_platform::settle::RoundSettlement;
 use mcs_platform::shard::ClearedRound;
 
 use crate::inject::{PlanInjector, CHAOS_PREFIX};
-use crate::oracle::{check_round, check_round_trace, OracleConfig, OracleViolation};
+use crate::mirror::{hash_rounds, MirroredEngine, Submitted};
+use crate::oracle::{OracleConfig, OracleViolation};
 use crate::plan::{Fault, FaultPlan};
 use crate::stream::{round_actions, Action};
 
@@ -62,9 +62,9 @@ pub struct CampaignConfig {
     /// rounds.
     pub drain_every: u64,
     /// Admission control for the engine under test. The campaign runs a
-    /// *mirror* [`AdmissionController`] with the same configuration, fed
-    /// the same backlog, so every shed decision is independently
-    /// predicted — a divergence is an
+    /// *mirror* [`AdmissionController`](mcs_platform::admission::AdmissionController)
+    /// with the same configuration, fed the same backlog, so every shed
+    /// decision is independently predicted — a divergence is an
     /// [`OracleViolation::ShedUnaccounted`].
     pub admission: AdmissionConfig,
     /// Multiplies the computed trace-ring capacity. Leave at 1 for
@@ -205,30 +205,7 @@ impl CampaignOutcome {
     /// without admission control engaged.
     pub fn fingerprint(&self) -> u64 {
         let mut fnv = Fnv::new();
-        for (id, round) in &self.results {
-            fnv.write_u64(id.0);
-            for winner in round.allocation.winners() {
-                fnv.write_u64(winner.index() as u64);
-            }
-            for (user, quote) in &round.quotes {
-                fnv.write_u64(user.index() as u64);
-                fnv.write_u64(quote.success.to_bits());
-                fnv.write_u64(quote.failure.to_bits());
-            }
-            for (user, &completed) in &round.reports {
-                fnv.write_u64(user.index() as u64);
-                fnv.write_u64(completed as u64);
-            }
-            fnv.write_u64(round.social_cost.to_bits());
-        }
-        for (id, settlement) in &self.settlements {
-            fnv.write_u64(id.0);
-            for (user, payout) in &settlement.payouts {
-                fnv.write_u64(user.index() as u64);
-                fnv.write_u64(payout.to_bits());
-            }
-            fnv.write_u64(settlement.total.to_bits());
-        }
+        hash_rounds(&mut fnv, &self.results, &self.settlements);
         for record in &self.quarantine {
             fnv.write_u64(record.id.0);
             fnv.write_u64(record.bidders as u64);
@@ -259,34 +236,6 @@ impl CampaignOutcome {
     }
 }
 
-/// FNV-1a, 64-bit — shared by every outcome fingerprint in this crate.
-pub(crate) struct Fnv {
-    hash: u64,
-}
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv {
-            hash: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.hash ^= byte as u64;
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn write_u64(&mut self, value: u64) {
-        self.write_bytes(&value.to_le_bytes());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
 /// Installs (once per process) a panic hook that swallows panics whose
 /// payload carries the [`CHAOS_PREFIX`] and delegates everything else to
 /// the previous hook. Injected shard panics are *expected* — without
@@ -313,442 +262,93 @@ pub fn silence_injected_panics() {
 /// module docs for the reproducibility contract.
 pub fn run_campaign(config: &CampaignConfig, plan: &FaultPlan) -> CampaignOutcome {
     silence_injected_panics();
-    let engine_config = config.engine_config();
-    let tasks = config.published_tasks();
     let injector = Arc::new(PlanInjector::new());
-    let mut engine = Engine::with_injector(engine_config, tasks.clone(), injector.clone());
-    let mut mirror = Batcher::new(engine_config.batch, tasks.clone());
-    // The mirror's own admission controller: same config, fed the same
-    // backlog, so it must predict every engine shed decision exactly.
-    let mut admission = AdmissionController::new(engine_config.admission);
-    // Bids in rounds the mirror closed that the engine has not drained
-    // yet — the mirror-side equivalent of `Engine::backlog_bids`.
-    let mut mirror_pending = 0usize;
-    let mut tally = ShedTally::default();
-
-    let mut profiles: BTreeMap<RoundId, TypeProfile> = BTreeMap::new();
-    let mut outcome = CampaignOutcome {
-        results: BTreeMap::new(),
-        settlements: BTreeMap::new(),
-        quarantine: Vec::new(),
-        post_mortems: Vec::new(),
-        balances: BTreeMap::new(),
-        total_paid: 0.0,
-        violations: Vec::new(),
-        rejections: 0,
-        sheds: 0,
-        partial_rounds: 0,
-        deferred: 0,
-        max_backlog: 0,
-        rebuilds: 0,
-        rounds_closed: 0,
-        faults_armed: 0,
-        trace_events: 0,
-        trace_capacity: 0,
-        trace_wrapped: false,
-    };
-    let mut absorbed_quarantine = 0usize;
-    let mut absorbed_post_mortems = 0usize;
-    let mut pending_rebuild = false;
+    let mut mirrored = MirroredEngine::new(
+        config.engine_config(),
+        config.published_tasks(),
+        injector.clone(),
+        config.oracle.clone(),
+    );
+    let mut faults_armed = 0;
+    let mut rebuilds = 0;
 
     for logical in 0..config.rounds {
         let faults = plan.faults_for(logical);
-        if faults.contains(&Fault::DropAndRebuild) {
-            pending_rebuild = true;
-        }
+        let rebuild = faults.contains(&Fault::DropAndRebuild);
         for action in round_actions(config, logical, faults) {
-            match action {
-                Action::Submit(bid) => {
-                    tally.submitted += 1;
-                    // The mirror controller decides first, on the
-                    // mirror-side backlog; the engine must agree.
-                    let backlog = mirror.pending_bids() + mirror_pending;
-                    let (_, predicted) = admission.admit(backlog);
-                    let engine_side = engine.submit(&bid);
-                    outcome.max_backlog = outcome.max_backlog.max(engine.backlog_bids());
-                    if let Admission::Shed(reason) = predicted {
-                        // A shed bid never reaches the mirror batcher.
-                        match engine_side {
-                            Ok(Admission::Shed(_)) => {
-                                tally.shed += 1;
-                                outcome.sheds += 1;
-                            }
-                            other => {
-                                outcome.violations.push(OracleViolation::ShedUnaccounted {
-                                    detail: format!(
-                                        "round {logical} user u{}: mirror shed ({reason}) \
-                                         but engine returned {other:?}",
-                                        bid.user
-                                    ),
-                                });
-                            }
-                        }
-                        continue;
-                    }
-                    let mirror_side = mirror.submit(&bid);
-                    match (engine_side, mirror_side) {
-                        (Ok(Admission::Admitted), Ok(closed)) => {
-                            tally.admitted += 1;
-                            if let Some(round) = closed {
-                                mirror_pending += round.profile.user_count();
-                                register(round, faults, &injector, &mut profiles, &mut outcome);
-                            }
-                        }
-                        // Compare rejections by rendered message, not
-                        // PartialEq: a NaN-cost rejection carries the NaN
-                        // in its payload, and NaN != NaN.
-                        (Err(engine_error), Err(mirror_error))
-                            if engine_error.to_string() == mirror_error.to_string() =>
-                        {
-                            tally.rejected += 1;
-                            outcome.rejections += 1;
-                        }
-                        (Ok(Admission::Shed(reason)), _) => {
-                            outcome.violations.push(OracleViolation::ShedUnaccounted {
-                                detail: format!(
-                                    "round {logical} user u{}: engine shed ({reason}) \
-                                     a bid the mirror admitted",
-                                    bid.user
-                                ),
-                            });
-                        }
-                        (engine_side, mirror_side) => {
-                            outcome.violations.push(OracleViolation::StreamDesync {
-                                detail: format!(
-                                    "round {logical} user u{}: engine {engine_side:?} \
-                                     vs mirror {:?}",
-                                    bid.user,
-                                    mirror_side.map(|r| r.map(|round| round.id))
-                                ),
-                            });
-                        }
-                    }
-                }
-                Action::Tick => {
-                    engine.tick();
-                    if let Some(round) = mirror.tick() {
-                        mirror_pending += round.profile.user_count();
-                        register(round, faults, &injector, &mut profiles, &mut outcome);
-                    }
-                }
+            let closed = match action {
+                Action::Submit(bid) => match mirrored.submit(&bid, logical) {
+                    Submitted::Admitted(closed) => closed,
+                    _ => None,
+                },
+                Action::Tick => mirrored.tick(),
+            };
+            if let Some(id) = closed {
+                faults_armed += arm(faults, &injector, id);
             }
         }
 
         let at_drain_point = (logical + 1) % config.drain_every.max(1) == 0;
-        if at_drain_point || pending_rebuild {
-            engine.drain();
-            mirror_pending = 0;
-            absorb(
-                config,
-                &engine,
-                &profiles,
-                &mut outcome,
-                &mut absorbed_quarantine,
-                &mut absorbed_post_mortems,
-            );
+        if at_drain_point || rebuild {
+            mirrored.drain();
         }
-        if pending_rebuild {
+        if rebuild {
             // A checkpoint does not capture the partially filled batch, so
             // close it identically on both sides and drain it first.
-            engine.flush();
-            if let Some(round) = mirror.flush() {
-                register(round, &[], &injector, &mut profiles, &mut outcome);
-            }
-            engine.drain();
-            mirror_pending = 0;
-            absorb(
-                config,
-                &engine,
-                &profiles,
-                &mut outcome,
-                &mut absorbed_quarantine,
-                &mut absorbed_post_mortems,
-            );
-            // This incarnation's books close here: every bid it received
-            // must be exactly one of admitted/rejected/shed.
-            check_conservation(&engine, &tally, &mut outcome);
-            let checkpoint = engine.checkpoint();
-            engine = Engine::restore(engine_config, tasks.clone(), checkpoint, injector.clone());
-            // A restored engine starts a fresh admission controller (and
-            // fresh metrics); the mirror must do the same.
-            admission = AdmissionController::new(engine_config.admission);
-            tally = ShedTally::default();
-            absorbed_quarantine = 0;
-            absorbed_post_mortems = 0;
-            outcome.rebuilds += 1;
-            pending_rebuild = false;
+            mirrored.flush();
+            mirrored.drain();
+            mirrored.rebuild();
+            rebuilds += 1;
         }
     }
 
-    engine.flush();
-    if let Some(round) = mirror.flush() {
-        register(round, &[], &injector, &mut profiles, &mut outcome);
-    }
-    engine.drain();
-    check_conservation(&engine, &tally, &mut outcome);
-    absorb(
-        config,
-        &engine,
-        &profiles,
-        &mut outcome,
-        &mut absorbed_quarantine,
-        &mut absorbed_post_mortems,
-    );
-
-    // Stream synchronisation: after identical drive sequences the engine
-    // and the mirror must agree on the next round id.
-    let engine_next = engine.checkpoint().next_round_id;
-    if engine_next != mirror.next_round_id() {
-        outcome.violations.push(OracleViolation::StreamDesync {
-            detail: format!(
-                "engine next round id {engine_next} != mirror {}",
-                mirror.next_round_id()
-            ),
-        });
-    }
-
-    // Zero silent drops: every round the mirror closed must have been
-    // cleared or quarantined.
-    for &id in profiles.keys() {
-        let cleared = outcome.results.contains_key(&id);
-        let quarantined = outcome.quarantine.iter().any(|q| q.id == id);
-        if !cleared && !quarantined {
-            outcome
-                .violations
-                .push(OracleViolation::SilentDrop { round: id });
-        }
-    }
-
+    mirrored.flush();
+    mirrored.drain();
+    let mirrored = mirrored.finish();
+    let mut violations = mirrored.violations;
     // The injector observed exactly the quarantines the engine recorded.
-    if injector.observed_quarantines() != outcome.quarantine {
-        outcome.violations.push(OracleViolation::StreamDesync {
+    if injector.observed_quarantines() != mirrored.quarantine {
+        violations.push(OracleViolation::StreamDesync {
             detail: "quarantine observations diverge from engine records".to_string(),
         });
     }
-
-    // Ledger conservation: balances equal summed payouts, in total and
-    // per user, across every rebuild.
-    let ledger = engine.ledger();
-    let mut expected: BTreeMap<UserId, f64> = BTreeMap::new();
-    let mut expected_total = 0.0;
-    for settlement in outcome.settlements.values() {
-        for (&user, &payout) in &settlement.payouts {
-            *expected.entry(user).or_insert(0.0) += payout;
-        }
-        expected_total += settlement.total;
-    }
-    if (ledger.total_paid() - expected_total).abs() > 1e-9 {
-        outcome.violations.push(OracleViolation::LedgerDrift {
-            detail: format!(
-                "ledger total {} != summed settlements {expected_total}",
-                ledger.total_paid()
-            ),
-        });
-    }
-    if ledger.balances().keys().ne(expected.keys()) {
-        outcome.violations.push(OracleViolation::LedgerDrift {
-            detail: "ledger and settlements pay different user sets".to_string(),
-        });
-    }
-    for (&user, &sum) in &expected {
-        if (ledger.balance(user) - sum).abs() > 1e-9 {
-            outcome.violations.push(OracleViolation::LedgerDrift {
-                detail: format!(
-                    "{user}: balance {} != summed payouts {sum}",
-                    ledger.balance(user)
-                ),
-            });
-        }
-    }
-    outcome.balances = ledger.balances().clone();
-    outcome.total_paid = ledger.total_paid();
-    outcome.trace_events = engine.recorder().recorded();
-    outcome.trace_capacity = engine.recorder().capacity();
-    outcome.trace_wrapped = engine.recorder().wrapped();
-
-    outcome
-}
-
-/// Per-incarnation bid bookkeeping: what the campaign itself counted
-/// while driving the current engine incarnation. Reset on rebuild,
-/// because a restored engine starts fresh metrics.
-#[derive(Debug, Default)]
-struct ShedTally {
-    submitted: u64,
-    admitted: u64,
-    rejected: u64,
-    shed: u64,
-}
-
-/// The `ShedUnaccounted` conservation oracle: under any load (including
-/// seeded 10× oversubscription) every bid submitted to this incarnation
-/// must be exactly one of admitted / rejected / shed, and the engine's
-/// own counters must agree with the campaign's independent tally.
-fn check_conservation(engine: &Engine, tally: &ShedTally, outcome: &mut CampaignOutcome) {
-    let snapshot = engine.metrics().snapshot();
-    let checks = [
-        ("bids_received", snapshot.bids_received, tally.submitted),
-        ("bids_rejected", snapshot.bids_rejected, tally.rejected),
-        ("bids_shed", snapshot.bids_shed, tally.shed),
-        (
-            "admitted + rejected + shed",
-            tally.admitted + tally.rejected + tally.shed,
-            tally.submitted,
-        ),
-    ];
-    for (what, observed, expected) in checks {
-        if observed != expected {
-            outcome.violations.push(OracleViolation::ShedUnaccounted {
-                detail: format!("{what}: observed {observed}, expected {expected}"),
-            });
-        }
+    let engine = &mirrored.engine;
+    CampaignOutcome {
+        results: mirrored.results,
+        settlements: mirrored.settlements,
+        quarantine: mirrored.quarantine,
+        post_mortems: mirrored.post_mortems,
+        balances: engine.ledger().balances().clone(),
+        total_paid: engine.ledger().total_paid(),
+        violations,
+        rejections: mirrored.bids.rejected,
+        sheds: mirrored.bids.shed,
+        partial_rounds: mirrored.partial_rounds,
+        deferred: mirrored.deferred,
+        max_backlog: mirrored.max_backlog,
+        rebuilds,
+        rounds_closed: mirrored.rounds_closed,
+        faults_armed,
+        trace_events: engine.recorder().recorded(),
+        trace_capacity: engine.recorder().capacity(),
+        trace_wrapped: engine.recorder().wrapped(),
     }
 }
 
-/// Records a round the mirror closed: stores its declared profile and
-/// arms the logical round's shard/settle/batch faults onto the concrete
-/// engine round id.
-fn register(
-    round: Round,
-    faults: &[Fault],
-    injector: &PlanInjector,
-    profiles: &mut BTreeMap<RoundId, TypeProfile>,
-    outcome: &mut CampaignOutcome,
-) {
+/// Arms the logical round's shard/settle/batch faults onto the concrete
+/// engine round `id` the mirror just closed; returns how many it armed.
+fn arm(faults: &[Fault], injector: &PlanInjector, id: RoundId) -> u64 {
+    let mut armed = 0;
     for fault in faults {
         match fault {
-            Fault::ShardPanic => {
-                injector.arm_panic(round.id);
-                outcome.faults_armed += 1;
-            }
-            Fault::FlipReports => {
-                injector.arm_flip(round.id);
-                outcome.faults_armed += 1;
-            }
-            Fault::ReorderPending => {
-                injector.arm_reorder(round.id);
-                outcome.faults_armed += 1;
-            }
-            _ => {}
+            Fault::ShardPanic => injector.arm_panic(id),
+            Fault::FlipReports => injector.arm_flip(id),
+            Fault::ReorderPending => injector.arm_reorder(id),
+            _ => continue,
         }
+        armed += 1;
     }
-    outcome.rounds_closed += 1;
-    profiles.insert(round.id, round.profile);
-}
-
-/// Copies everything the engine produced since the last absorption into
-/// the campaign accumulators, oracle-checking each newly cleared round's
-/// results *and* its flight-recorder trace, and requiring a complete
-/// post-mortem for each newly quarantined round.
-fn absorb(
-    config: &CampaignConfig,
-    engine: &Engine,
-    profiles: &BTreeMap<RoundId, TypeProfile>,
-    outcome: &mut CampaignOutcome,
-    absorbed_quarantine: &mut usize,
-    absorbed_post_mortems: &mut usize,
-) {
-    let engine_config = engine.config();
-    let recorder = engine.recorder();
-    // A lapped ring legitimately loses old events; the campaign sizes the
-    // ring to never wrap, so a wrap here only disables the trace oracle,
-    // it is not itself a violation.
-    let trace_intact = recorder.capacity() > 0 && !recorder.wrapped();
-    for (&id, round) in engine.results() {
-        if outcome.results.contains_key(&id) {
-            continue;
-        }
-        let settlement = &engine.settlements()[&id];
-        match profiles.get(&id) {
-            Some(profile) => {
-                // A round over the clearing budget cleared only its
-                // admitted prefix; the oracle must replay exactly that
-                // prefix. The trace still documents the whole round.
-                let budget = engine_config.admission.clear_budget;
-                let full_count = profile.user_count();
-                let prefix;
-                let checked = if budget > 0 && full_count > budget {
-                    prefix = TypeProfile::new(
-                        profile.users()[..budget].to_vec(),
-                        profile.tasks().to_vec(),
-                    )
-                    .expect("a prefix of a valid profile is a valid profile");
-                    let deferred = full_count - budget;
-                    let accounted = engine.quarantine().iter().any(|q| {
-                        q.id == id
-                            && q.bidders == deferred
-                            && matches!(q.error, RoundError::DeadlineExceeded {
-                                budget: b, cleared, deferred: d,
-                            } if b == budget && cleared == budget && d == deferred)
-                    });
-                    if !accounted {
-                        outcome.violations.push(OracleViolation::ShedUnaccounted {
-                            detail: format!(
-                                "{id}: cleared {budget} of {full_count} bidders but the \
-                                 {deferred} deferred are not quarantined as DeadlineExceeded"
-                            ),
-                        });
-                    }
-                    &prefix
-                } else {
-                    profile
-                };
-                outcome.violations.extend(check_round(
-                    &config.oracle,
-                    checked,
-                    round,
-                    settlement,
-                    engine_config,
-                ));
-                if trace_intact {
-                    outcome.violations.extend(check_round_trace(
-                        id,
-                        &recorder.round_trace(id.0),
-                        full_count,
-                        round.allocation.winner_count(),
-                    ));
-                }
-            }
-            None => outcome.violations.push(OracleViolation::StreamDesync {
-                detail: format!("{id} cleared but was never mirrored"),
-            }),
-        }
-        outcome.results.insert(id, round.clone());
-        outcome.settlements.insert(id, settlement.clone());
-    }
-    for record in &engine.quarantine()[*absorbed_quarantine..] {
-        if let RoundError::DeadlineExceeded { deferred, .. } = record.error {
-            outcome.partial_rounds += 1;
-            outcome.deferred += deferred as u64;
-        }
-        let post_mortem = engine
-            .post_mortems()
-            .iter()
-            .find(|pm| pm.round == record.id.0);
-        match post_mortem {
-            Some(pm) if trace_intact && !pm.wrapped && !pm.complete => {
-                outcome.violations.push(OracleViolation::TraceIncomplete {
-                    round: record.id,
-                    detail: format!(
-                        "post-mortem rebuilt {} of {} bids",
-                        pm.bids.len(),
-                        record.bidders
-                    ),
-                });
-            }
-            Some(_) => {}
-            None => outcome.violations.push(OracleViolation::TraceIncomplete {
-                round: record.id,
-                detail: "quarantined without a post-mortem".to_string(),
-            }),
-        }
-        outcome.quarantine.push(record.clone());
-    }
-    *absorbed_quarantine = engine.quarantine().len();
-    for pm in &engine.post_mortems()[*absorbed_post_mortems..] {
-        outcome.post_mortems.push(pm.clone());
-    }
-    *absorbed_post_mortems = engine.post_mortems().len();
+    armed
 }
 
 #[cfg(test)]

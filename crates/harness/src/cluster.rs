@@ -1,5 +1,5 @@
 //! Cluster chaos: fault-injecting transports, the scenario→cluster
-//! bridge, and the [`ClusterMirror`] oracle.
+//! bridge, and the [`scenario_ground_truth`] oracle.
 //!
 //! The engine campaigns attack one engine's pipeline; this module
 //! attacks the *deployment*. A [`FaultyTransport`] wraps any
@@ -19,8 +19,8 @@
 //!
 //! [`run_cluster_scenario`] drives any corpus scenario's bid stream
 //! through a loopback cluster of N nodes under a fault plan, and
-//! [`ClusterMirror`] recomputes the deployment-invariant ground truth
-//! in-process for bitwise comparison.
+//! [`scenario_ground_truth`] recomputes the deployment-invariant ground
+//! truth in-process for bitwise comparison.
 
 use std::cell::{Cell as StdCell, RefCell};
 use std::collections::BTreeSet;
@@ -309,51 +309,15 @@ pub fn run_cluster_scenario_tcp(
     Ok(run)
 }
 
-/// The single-process oracle for cluster runs: records the same bid
-/// stream a deployment cleared and recomputes the outcome with no
-/// nodes, no transports, and no replication in the loop.
-#[derive(Debug)]
-pub struct ClusterMirror {
-    topology: Topology,
-    params: ClusterParams,
-    rounds: Vec<Vec<Bid>>,
-}
-
-impl ClusterMirror {
-    /// An empty mirror over the same topology and parameters as the
-    /// deployment under test.
-    pub fn new(topology: Topology, params: ClusterParams) -> Self {
-        ClusterMirror {
-            topology,
-            params,
-            rounds: Vec::new(),
-        }
-    }
-
-    /// A mirror pre-loaded with a scenario's full bid stream.
-    pub fn of_scenario(scenario: &Scenario, bands: u32) -> Self {
-        let mut mirror = ClusterMirror::new(
-            scenario_topology(scenario, bands),
-            scenario_params(scenario),
-        );
-        mirror.rounds = scenario_rounds(scenario);
-        mirror
-    }
-
-    /// Records one round of submitted bids.
-    pub fn record(&mut self, bids: &[Bid]) {
-        self.rounds.push(bids.to_vec());
-    }
-
-    /// The ground-truth outcome of everything recorded.
-    pub fn outcome(&self) -> ClusterOutcome {
-        ground_truth(&self.topology, self.params, &self.rounds)
-    }
-
-    /// The ground-truth fingerprint of everything recorded.
-    pub fn fingerprint(&self) -> u64 {
-        self.outcome().fingerprint()
-    }
+/// The single-process oracle for cluster runs: a scenario's bid stream
+/// cleared by [`ground_truth`] with no nodes, no transports, and no
+/// replication in the loop.
+pub fn scenario_ground_truth(scenario: &Scenario, bands: u32) -> ClusterOutcome {
+    ground_truth(
+        &scenario_topology(scenario, bands),
+        scenario_params(scenario),
+        &scenario_rounds(scenario),
+    )
 }
 
 #[cfg(test)]
@@ -391,7 +355,7 @@ mod tests {
     fn fault_free_cluster_matches_the_mirror() {
         let scenario = small_scenario();
         let run = run_cluster_scenario(&scenario, 2, 4, &FaultPlan::new()).unwrap();
-        let mirror = ClusterMirror::of_scenario(&scenario, 4);
+        let mirror = scenario_ground_truth(&scenario, 4);
         assert_eq!(run.fingerprint, mirror.fingerprint());
         assert_eq!(run.quarantined_rounds(), 0);
         assert!(run.promoted_nodes().is_empty());

@@ -20,6 +20,11 @@
 //! * [`oracle`] — the economic-invariant checks: coverage feasibility,
 //!   allocation fidelity, quote structure, ex-post IR, critical-bid
 //!   monotonicity, and settlement/ledger conservation.
+//! * `mirror` (crate-private) — `MirroredEngine`, the one
+//!   engine-vs-mirror drive loop under both the campaign runner and the
+//!   scenario driver: mirror batcher and admission controller, shed /
+//!   reject / desync classification, per-round oracle absorption, and
+//!   the next-id, silent-drop and ledger checks.
 //! * [`campaign`] — the runner tying it together; a campaign is a pure
 //!   function of `(CampaignConfig, FaultPlan)` whose
 //!   [`fingerprint`](campaign::CampaignOutcome::fingerprint) is identical
@@ -31,8 +36,8 @@
 //! * [`cluster`] — chaos at the deployment layer: a fault-injecting
 //!   [`NodeTransport`](mcs_cluster::transport::NodeTransport) wrapper
 //!   (node loss, partition, duplicate delivery), the scenario→cluster
-//!   bridge, and the [`ClusterMirror`](cluster::ClusterMirror) ground-
-//!   truth oracle; `mcs-fuzz --cluster` drives it.
+//!   bridge, and the [`scenario_ground_truth`](cluster::scenario_ground_truth)
+//!   oracle; `mcs-fuzz --cluster` drives it.
 //!
 //! The `mcs-fuzz` binary drives campaigns from the command line; see
 //! `scripts/ci.sh` (smoke) and `scripts/fuzz.sh` (long campaigns).
@@ -52,6 +57,7 @@ pub mod campaign;
 pub mod closed_loop;
 pub mod cluster;
 pub mod inject;
+mod mirror;
 pub mod oracle;
 pub mod plan;
 pub mod scenario;
@@ -64,8 +70,8 @@ pub mod prelude {
     };
     pub use crate::closed_loop::{check_campaign, ClosedLoopViolation};
     pub use crate::cluster::{
-        run_cluster_scenario, run_cluster_scenario_tcp, scenario_params, scenario_rounds,
-        scenario_topology, ClusterMirror, ClusterRun, FaultyTransport,
+        run_cluster_scenario, run_cluster_scenario_tcp, scenario_ground_truth, scenario_params,
+        scenario_rounds, scenario_topology, ClusterRun, FaultyTransport,
     };
     pub use crate::inject::{PlanInjector, CHAOS_PREFIX};
     pub use crate::oracle::{check_round, OracleConfig, OracleViolation};

@@ -1,8 +1,8 @@
 //! Economic-invariant oracles: the paper's guarantees, checked round by
 //! round against what the platform actually produced.
 //!
-//! After every surviving round a campaign calls [`check_round`] with the
-//! round's declared profile (from the campaign's mirror batcher), the
+//! After every surviving round a harness driver calls [`check_round`]
+//! with the round's declared profile (from its mirror batcher), the
 //! engine's [`ClearedRound`], and its [`RoundSettlement`]. The oracle
 //! re-derives what the mechanism *should* have done and reports every
 //! discrepancy as a typed [`OracleViolation`]:
@@ -153,7 +153,7 @@ pub enum OracleViolation {
         /// The dropped round.
         round: RoundId,
     },
-    /// The campaign's mirror batcher and the engine disagreed — an
+    /// The harness's mirror batcher and the engine disagreed — an
     /// accepted/rejected bid mismatch or a round-id drift.
     StreamDesync {
         /// What went out of sync.

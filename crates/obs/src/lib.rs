@@ -3,6 +3,8 @@
 //! The crate answers the question the aggregate counters cannot: *what
 //! happened inside this round?* It provides, in dependency order:
 //!
+//! * [`fnv`] — [`Fnv`]/[`fnv1a64`], the one FNV-1a digest behind every
+//!   fingerprint and checksum in the workspace.
 //! * [`event`] — the shared trace vocabulary: pipeline [`Stage`]s,
 //!   [`EventKind`]s, and the fixed-width [`TraceEvent`].
 //! * [`ring`] — the [`FlightRecorder`]: a lock-free, fixed-capacity,
@@ -39,6 +41,7 @@
 pub mod analyze;
 pub mod event;
 pub mod export;
+pub mod fnv;
 pub mod merge;
 pub mod postmortem;
 pub mod prom;
@@ -49,6 +52,7 @@ pub mod slo;
 pub use analyze::{DecodedBreach, DiffOutcome, TraceInput};
 pub use event::{EventKind, RawEvent, Stage, TraceEvent};
 pub use export::{ExportServer, MetricsSource};
+pub use fnv::{fnv1a64, Fnv};
 pub use merge::{merge_shard_traces, MergedTraceEvent};
 pub use postmortem::{BidRecord, PostMortem, TaskDeclaration};
 pub use prom::{PromKind, PromWriter};

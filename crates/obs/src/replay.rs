@@ -39,6 +39,7 @@
 use std::fmt;
 
 use crate::event::{EventKind, TraceEvent};
+use crate::fnv::fnv1a64;
 
 /// Magic bytes opening every replay log.
 pub const REPLAY_MAGIC: [u8; 8] = *b"MCSTRACE";
@@ -214,7 +215,7 @@ impl ReplayLog {
                 ReplayOp::Drain => out.push(3),
             }
         }
-        let checksum = fnv1a(&out);
+        let checksum = fnv1a64(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
@@ -277,7 +278,7 @@ impl ReplayLog {
                 extra: bytes.len() - reader.at,
             });
         }
-        let computed = fnv1a(&bytes[..payload_len]);
+        let computed = fnv1a64(&bytes[..payload_len]);
         if stored != computed {
             return Err(ReplayError::ChecksumMismatch { stored, computed });
         }
@@ -309,16 +310,6 @@ pub fn admitted_bids(events: &[TraceEvent]) -> Vec<ReplayBid> {
         }
     }
     bids
-}
-
-/// FNV-1a over a byte slice — the workspace's standard digest.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Byte-wise reader with typed truncation errors.
@@ -431,7 +422,7 @@ mod tests {
         // Bump the version field (bytes 8..12) and re-checksum.
         bytes[8] = REPLAY_VERSION as u8 + 1;
         let len = bytes.len();
-        let checksum = fnv1a(&bytes[..len - 8]);
+        let checksum = fnv1a64(&bytes[..len - 8]);
         bytes[len - 8..].copy_from_slice(&checksum.to_le_bytes());
         assert_eq!(
             ReplayLog::from_bytes(&bytes),

@@ -26,8 +26,8 @@
 //! syncing an arena to a round's profile is bitwise identical to
 //! building it fresh (`mcs_core::indexed::sync_with`'s tested
 //! invariant), so which worker — with whatever arena history — clears a
-//! round is unobservable. `EngineConfig::reuse_index = false` switches
-//! to a throwaway context per round for A/B timing.
+//! round is unobservable. The pure [`clear_round`], on a fresh context,
+//! stays the reference the pooled path is tested against.
 //!
 //! Workers wrap each round in `catch_unwind`: a panicking round becomes a
 //! [`RoundError::Panicked`] and the pool keeps serving (see
@@ -281,9 +281,8 @@ impl ShardPool {
                 scope.spawn(move || {
                     // One clearing arena per worker for the whole drain:
                     // consecutive rounds on this worker delta-patch its
-                    // persistent index. With reuse disabled every round
-                    // clears on a throwaway context instead.
-                    let mut pooled = config.reuse_index.then(|| contexts.checkout());
+                    // persistent index.
+                    let mut context = contexts.checkout();
                     loop {
                         // Take the lock only to pop; clearing runs unlocked.
                         let next = round_rx.lock().expect("queue lock").recv();
@@ -291,8 +290,6 @@ impl ShardPool {
                         let bidders = round.profile.user_count();
                         span_enter(Some(recorder), Stage::Shard, round.id);
                         let start = Instant::now();
-                        let mut fresh = ClearContext::new();
-                        let context = pooled.as_mut().unwrap_or(&mut fresh);
                         let caught = catch_unwind(AssertUnwindSafe(|| {
                             if let Some(message) = injector.shard_panic(round.id) {
                                 panic!("{message}");
@@ -300,7 +297,7 @@ impl ShardPool {
                             clear_round_metered(
                                 &round,
                                 config,
-                                context,
+                                &mut context,
                                 Some(metrics),
                                 Some(recorder),
                             )
@@ -311,16 +308,13 @@ impl ShardPool {
                         // did). Gated: draining is the only profiling
                         // cost that leaves the worker's cache lines.
                         if config.profiling {
-                            let context = pooled.as_mut().unwrap_or(&mut fresh);
                             metrics.record_kernel(&context.take_prof());
                         }
                         if caught.is_err() {
                             // A panic can leave the arena half-patched
                             // (e.g. mid seed rebuild); discard it rather
                             // than reason about its state.
-                            if let Some(context) = pooled.as_mut() {
-                                *context = ClearContext::new();
-                            }
+                            context = ClearContext::new();
                         }
                         let outcome = caught.unwrap_or_else(|payload| {
                             Err(RoundError::Panicked {
@@ -333,9 +327,7 @@ impl ShardPool {
                             break;
                         }
                     }
-                    if let Some(context) = pooled {
-                        contexts.give_back(context);
-                    }
+                    contexts.give_back(context);
                 });
             }
         });
@@ -552,32 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_index_reuse_changes_nothing_but_the_arena_pool() {
-        let reuse = EngineConfig::default().with_seed(11);
-        let rounds: Vec<Round> = (0..4)
-            .map(|i| multi_task_round_scaled(i, 1.0 - 0.03 * i as f64))
-            .collect();
-        let pooled = ShardPool::new(2).clear_all(
-            rounds.clone(),
-            &reuse,
-            &NoFaults,
-            &Metrics::new(),
-            &FlightRecorder::disabled(),
-        );
-        let throwaway_pool = ShardPool::new(2);
-        let throwaway = throwaway_pool.clear_all(
-            rounds,
-            &reuse.with_reuse_index(false),
-            &NoFaults,
-            &Metrics::new(),
-            &FlightRecorder::disabled(),
-        );
-        assert_eq!(pooled, throwaway);
-        // With reuse off no arena is ever checked out or parked.
-        assert_eq!(throwaway_pool.contexts().idle(), 0);
-    }
-
-    #[test]
     fn adopted_contexts_are_shared_handles() {
         let config = EngineConfig::default().with_seed(2);
         let first = ShardPool::new(1);
@@ -649,7 +615,7 @@ mod tests {
         );
         let prof_metrics = Metrics::new();
         let profiled = ShardPool::new(2).clear_all(
-            rounds.clone(),
+            rounds,
             &config.with_profiling(true),
             &NoFaults,
             &prof_metrics,
@@ -676,21 +642,6 @@ mod tests {
         // Identical rounds on a persistent arena: later prepares are
         // reuse hits.
         assert!(k.reuse_hits > 0, "{k:?}");
-        // Throwaway contexts (reuse off) drain too.
-        let throwaway_metrics = Metrics::new();
-        ShardPool::new(1).clear_all(
-            rounds,
-            &config.with_profiling(true).with_reuse_index(false),
-            &NoFaults,
-            &throwaway_metrics,
-            &FlightRecorder::disabled(),
-        );
-        let t = throwaway_metrics.snapshot().kernel;
-        assert_eq!(t.prepares, 8);
-        // A throwaway context reflattens once per round; the pay-phase
-        // re-prepare within the round still hits the fresh index.
-        assert_eq!(t.sync_reflattened, 4);
-        assert_eq!(t.reuse_hits, 4);
     }
 
     #[test]
