@@ -277,12 +277,30 @@ mod tests {
         assert!(!legacy.contains("profiling"), "{legacy}");
         let back: EngineConfig = serde_json::from_str(&legacy).unwrap();
         assert!(!back.profiling);
+    }
+
+    #[test]
+    fn reuse_index_defaults_on_and_legacy_json_still_parses() {
+        // Index reuse is no longer a knob: shard workers always clear on
+        // their pooled context, so the default config no longer carries
+        // the key.
+        let json = serde_json::to_string(&EngineConfig::default()).unwrap();
+        assert!(!json.contains("reuse_index"), "{json}");
         // A config written while the retired `reuse_index` knob existed
-        // still deserializes: unknown keys are ignored.
-        let retired = json.replace(",\"profiling\"", ",\"reuse_index\":true,\"profiling\"");
-        assert!(retired.contains("\"reuse_index\":true"), "{retired}");
-        let back: EngineConfig = serde_json::from_str(&retired).unwrap();
-        assert_eq!(back, EngineConfig::default());
+        // still deserializes, whichever way it was set: unknown keys are
+        // ignored.
+        for value in ["true", "false"] {
+            let legacy = json.replace(
+                ",\"profiling\"",
+                &format!(",\"reuse_index\":{value},\"profiling\""),
+            );
+            assert!(
+                legacy.contains(&format!("\"reuse_index\":{value}")),
+                "{legacy}"
+            );
+            let back: EngineConfig = serde_json::from_str(&legacy).unwrap();
+            assert_eq!(back, EngineConfig::default());
+        }
     }
 
     #[test]
